@@ -24,42 +24,17 @@
 //! partitions the outcomes into allowed and forbidden;
 //! [`enumerate_executions`] survives as a thin materialising wrapper over
 //! the visitor for rendering, diagnostics and differential testing.
-//!
-//! With [`EnumConfig::pruning`] set, the verdict paths switch to
-//! [`for_each_execution_pruned`]: rf slots and coherence axes become the
-//! levels of a decision tree, and a subtree is cut whenever the
-//! partially-filled overlay already forces the model's verdict
-//! ([`crate::model::Model::partial_verdict`], a three-valued interval
-//! evaluation over the compiled plan). Cut subtrees are reported as one
-//! [`PrunedClass`] spanning all their candidates — same outcomes, same
-//! counts, exponentially fewer evaluations on conflict-heavy tests. The
-//! exhaustive stream stays available as the differential oracle.
-//!
-//! With [`EnumConfig::batching`] set, trailing subtrees of 2–64 sibling
-//! candidates — overlays differing only in their last rf slots / co
-//! axes — are judged in **one bit-plane pass**: each sibling becomes a
-//! lane of an [`OverlayBatch`] and every
-//! relational operation of the compiled plan covers all lanes per
-//! machine word ([`crate::plan::Plan::allows_batch`]). Batching applies
-//! to both the exhaustive stream ([`for_each_execution_batched`]) and
-//! the pruned walk, where it composes with forced-verdict cuts:
-//! pruning skips subtrees, batching amortises the leaves pruning kept.
-//! Verdicts are bit-identical on every path.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 use weakgpu_litmus::{FinalExpr, Instr, LitmusTest, Loc, Operand, Outcome, Reg};
 
 use crate::exec::Execution;
 use crate::model::Model;
 use crate::plan::EvalContext;
-use crate::skeleton::{
-    ExecutionSkeleton, ExecutionView, LaneMask, Overlay, OverlayBatch, PartialView,
-};
+use crate::skeleton::{ExecutionSkeleton, ExecutionView, Overlay};
 use crate::symbolic::{enumerate_thread_traces, SymError, ThreadTrace};
 
 /// Bounds for the enumeration.
@@ -72,45 +47,11 @@ pub struct EnumConfig {
     pub domain_iters: usize,
     /// Bound on the traces enumerated per thread.
     pub max_traces_per_thread: usize,
-    /// Bound on the number of candidate executions **visited**. Under the
-    /// streaming visitor this counts candidates actually handed to the
-    /// callback, not candidates materialised: a visitor that exits early
-    /// (via [`ControlFlow::Break`]) before the limit never trips it.
-    /// Under the pruned walk ([`for_each_execution_pruned`]) it counts
-    /// **visited classes** — the nodes handed to the visitor — so a
-    /// budget that the exhaustive stream exceeds can still complete when
-    /// pruning collapses the space.
+    /// Bound on the number of candidate executions **visited**: the
+    /// candidates actually handed to the visitor, not candidates
+    /// materialised. A visitor that exits early (via
+    /// [`ControlFlow::Break`]) before the limit never trips it.
     pub max_executions: usize,
-    /// Route the verdict paths ([`model_outcomes_with`],
-    /// [`condition_witnessed_with`] and everything above them) through
-    /// the rf-class decision tree with conflict-driven subtree cutoffs
-    /// ([`for_each_execution_pruned`]) instead of the exhaustive stream.
-    /// Verdicts are bit-identical either way; pruning trades a
-    /// three-valued check per tree node for skipping entire rf×co
-    /// subtrees whose verdict is already forced.
-    pub pruning: bool,
-    /// Judge trailing rf×co subtrees of 2–64 sibling candidates in one
-    /// bit-plane pass: each sibling becomes a lane of an
-    /// [`OverlayBatch`] and every relational
-    /// operation of the compiled plan covers all lanes per machine word
-    /// ([`crate::plan::Plan::allows_batch`]). Routes the exhaustive
-    /// verdict paths through [`for_each_execution_batched`] and makes
-    /// the pruned walk batch the subtrees its cuts keep — the two flags
-    /// compose. Verdicts are bit-identical to the scalar paths; models
-    /// without a batched evaluator degrade to per-leaf judgement.
-    pub batching: bool,
-    /// Evaluate the pruned walk's cut attempts by delta: plan state
-    /// (overlay-dependent interval registers plus a Pearce–Kelly
-    /// maintained topological order per acyclicity check) is pushed and
-    /// popped along the decision-tree path through a word-level undo
-    /// journal instead of being refilled from scratch at every node
-    /// ([`crate::plan::EvalContext::set_incremental`]). Implies the
-    /// tree walk (`pruning`); composes with `batching`, whose lane
-    /// cyclicity sweeps are then seeded from the same maintained order.
-    /// Verdicts and [`PruneStats`] are bit-identical either way; plans
-    /// with non-row-local overlay operators (e.g. sequencing under the
-    /// overlay) transparently fall back to the from-scratch evaluation.
-    pub incremental: bool,
 }
 
 impl Default for EnumConfig {
@@ -120,9 +61,6 @@ impl Default for EnumConfig {
             domain_iters: 3,
             max_traces_per_thread: 4096,
             max_executions: 1_000_000,
-            pruning: false,
-            batching: false,
-            incremental: false,
         }
     }
 }
@@ -508,13 +446,6 @@ struct EnumScratch {
     perm_used: Vec<bool>,
     rf_idx: Vec<usize>,
     co_idx: Vec<usize>,
-    /// Pruned-walk scratch: `suffix[d]` = candidates spanned by the
-    /// subtree below tree level `d` (product of the branch factors at
-    /// levels `>= d`).
-    suffix: Vec<usize>,
-    /// Bit-plane batch buffer for [`EnumConfig::batching`]; grow-only
-    /// lane planes reused across batches and combinations.
-    batch: OverlayBatch,
     /// Skeleton stamp for which `co_perms` and the overlay sizing were
     /// last built (0 = never).
     working_set_skel: u64,
@@ -533,8 +464,6 @@ impl EnumScratch {
             perm_used: Vec::new(),
             rf_idx: Vec::new(),
             co_idx: Vec::new(),
-            suffix: Vec::new(),
-            batch: OverlayBatch::new(),
             working_set_skel: 0,
         }
     }
@@ -594,8 +523,7 @@ fn emit_permutations(
 /// Returns `false` when the combination is unrealisable — some read's
 /// value matches neither the initial state nor any same-location write —
 /// in which case the working set is left untouched and the combination
-/// contributes no candidates. Shared prologue of the exhaustive and
-/// pruned walks.
+/// contributes no candidates.
 fn prepare_combination(
     traces: &[&ThreadTrace],
     thread_cta: &[usize],
@@ -747,1048 +675,24 @@ where
     Ok(ControlFlow::Continue(()))
 }
 
-/// Minimum subtree size (in candidates spanned) for which a tree node
-/// attempts the three-valued partial check. Below this the check costs
-/// more than the candidates it could skip: a partial evaluation is
-/// roughly as expensive as one concrete evaluation, so cutting must
-/// save at least a few leaves to pay for itself (and for the wasted
-/// checks at nodes whose verdict is not yet forced).
-const CUT_MIN: usize = 4;
-
-/// Counters reported by the pruned walk: how many tree nodes were
-/// handed to the visitor and how many candidate executions were skipped
-/// by forced-verdict cuts. `classes_visited + candidates_pruned` equals
-/// the exhaustive candidate count — cut classes and leaves partition
-/// the candidate space exactly.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct PruneStats {
-    /// Tree nodes handed to the visitor (forced-cut classes + leaves).
+/// Counters of one judgement walk, as reported per sweep cell. The walk
+/// visits every candidate, so `classes_visited` is the candidate count
+/// and the other counters stay 0; they keep the per-cell record layout
+/// stable.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct WalkStats {
+    /// Candidates judged.
     pub classes_visited: u64,
-    /// Candidates subsumed by forced-cut classes beyond the one
-    /// evaluation each cut performed.
+    /// Always 0.
     pub candidates_pruned: u64,
-    /// Bit-plane batches formed ([`EnumConfig::batching`]); 0 when
-    /// batching is off.
+    /// Always 0.
     pub batches_formed: u64,
-    /// Lanes occupied across all formed batches —
-    /// `lanes_filled / batches_formed` is the mean lane occupancy, the
-    /// number CI artifacts watch to judge how well sibling leaves pack.
+    /// Always 0.
     pub lanes_filled: u64,
-    /// Wall time spent inside the three-valued partial verdicts of the
-    /// walk's cut attempts, in microseconds. A measurement, not part of
-    /// the walk shape — equality (see [`PartialEq`][Self]) ignores it.
+    /// Always 0.
     pub cut_attempt_micros: u64,
-    /// Overlay-dependent plan registers filled from scratch while
-    /// judging this walk. The from-scratch walk refills its whole
-    /// overlay register tier at every cut attempt and leaf; under
-    /// [`EnumConfig::incremental`] only the per-combination baseline
-    /// fills count — path moves are journalled delta updates, not
-    /// refills — so this counter's collapse is the direct witness of
-    /// the asymptotic win. Equality ignores it.
+    /// Always 0.
     pub registers_refilled: u64,
-}
-
-/// Equality compares only the walk-shape counters (`classes_visited`,
-/// `candidates_pruned`, `batches_formed`, `lanes_filled`); the timing
-/// and work measurements (`cut_attempt_micros`, `registers_refilled`)
-/// legitimately differ between evaluation strategies that are
-/// verdict-identical, and the differential suites assert exactly that
-/// shape equality.
-impl PartialEq for PruneStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.classes_visited == other.classes_visited
-            && self.candidates_pruned == other.candidates_pruned
-            && self.batches_formed == other.batches_formed
-            && self.lanes_filled == other.lanes_filled
-    }
-}
-
-impl Eq for PruneStats {}
-
-/// One node of the pruned walk handed to the visitor: either a **leaf**
-/// (a single fully-assigned candidate, judged concretely) or a
-/// **forced class** (a subtree whose verdict the three-valued partial
-/// check already decided for *every* extension). Either way the node
-/// spans [`PrunedClass::size`] candidates, all sharing the verdict
-/// [`PrunedClass::allowed`], and its observable outcomes are spanned
-/// exactly by [`PrunedClass::observed_combos`] /
-/// [`PrunedClass::fill_observed`] — which is why folding classes
-/// reproduces the exhaustive [`ModelOutcomes`] bit for bit.
-pub struct PrunedClass<'a> {
-    partial: PartialView<'a>,
-    size: usize,
-    allowed: bool,
-    forced: bool,
-}
-
-impl<'a> PrunedClass<'a> {
-    /// Number of candidate executions this class spans (1 for a leaf).
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The model's verdict, shared by every candidate in the class.
-    pub fn allowed(&self) -> bool {
-        self.allowed
-    }
-
-    /// `true` when the verdict was forced by the partial check (the
-    /// subtree was cut); `false` for a concretely judged leaf.
-    pub fn is_forced(&self) -> bool {
-        self.forced
-    }
-
-    /// The underlying partially-assigned view.
-    pub fn partial(&self) -> &PartialView<'a> {
-        &self.partial
-    }
-
-    /// The trace combination's stamp (see
-    /// [`ExecutionView::combination_id`]).
-    pub fn combination_id(&self) -> u64 {
-        self.partial.combination_id()
-    }
-
-    /// How many distinct observed-value vectors the class spans.
-    pub fn observed_combos(&self) -> usize {
-        self.partial.observed_combos()
-    }
-
-    /// Fills `out` with observed combination `combo`
-    /// (`0..observed_combos()`), in `LitmusTest::observed` order.
-    pub fn fill_observed(&self, combo: usize, out: &mut Vec<i64>) {
-        self.partial.fill_observed_combo(combo, out);
-    }
-
-    /// Zips a value vector from [`PrunedClass::fill_observed`] with the
-    /// observed expressions into an [`Outcome`].
-    pub fn outcome_from_vals(&self, vals: &[i64]) -> Outcome {
-        self.partial.outcome_from_vals(vals)
-    }
-}
-
-/// Streams `test`'s candidate space through `f` as a sequence of
-/// [`PrunedClass`]es — the conflict-driven pruned counterpart of
-/// [`for_each_execution`].
-///
-/// The rf slots and coherence axes of each skeleton become the levels
-/// of a decision tree (rf outer, co inner, matching the exhaustive
-/// stream's lexicographic order). At each node spanning at least a few
-/// candidates the model's three-valued partial verdict
-/// ([`crate::model::Model::partial_verdict`]) is consulted: `Some(v)`
-/// means *every* extension of the node's partially-filled overlay gets
-/// verdict `v`, so the subtree is emitted as one forced class and never
-/// descended. Leaves are judged concretely with
-/// [`crate::model::Model::allows_view`]. Models without a partial
-/// check (the trait's default returns `None`) degrade gracefully to
-/// per-leaf evaluation with identical results.
-///
-/// Classes and leaves partition the candidate space: summing
-/// [`PrunedClass::size`] over all visited nodes reproduces the
-/// exhaustive candidate count, and folding each class's spanned
-/// outcomes reproduces the exhaustive outcome sets —
-/// [`model_outcomes_counted`] relies on exactly this.
-///
-/// `stats` accumulates the visited-class / pruned-candidate counters.
-/// Returning [`ControlFlow::Break`] from `f` stops the walk; the break
-/// value comes back as `Ok(Some(value))`.
-///
-/// # Errors
-///
-/// Fails if symbolic execution fails or more than
-/// [`EnumConfig::max_executions`] **classes** are visited (the pruned
-/// walk budgets visited nodes, not spanned candidates, so a budget the
-/// exhaustive stream exceeds can still complete under pruning).
-pub fn for_each_execution_pruned<B, F>(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-    stats: &mut PruneStats,
-    mut f: F,
-) -> Result<Option<B>, EnumError>
-where
-    F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
-{
-    ENUM_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => {
-            for_each_execution_pruned_with(test, model, cfg, ctx, &mut scratch, stats, &mut f)
-        }
-        Err(_) => for_each_execution_pruned_with(
-            test,
-            model,
-            cfg,
-            ctx,
-            &mut EnumScratch::new(),
-            stats,
-            &mut f,
-        ),
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn for_each_execution_pruned_with<B, F>(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-    scratch: &mut EnumScratch,
-    stats: &mut PruneStats,
-    f: &mut F,
-) -> Result<Option<B>, EnumError>
-where
-    F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
-{
-    let (_domains, per_thread) = fixed_point_traces_cached(test, cfg)?;
-    // Refills accrued outside this walk (e.g. a prior exhaustive pass
-    // over the same context) are not this walk's work.
-    ctx.take_registers_refilled();
-
-    let thread_cta: Vec<usize> = (0..test.num_threads())
-        .map(|t| test.scope_tree().placement(t).cta)
-        .collect();
-    let init_mem: BTreeMap<Loc, i64> = test
-        .memory()
-        .iter()
-        .map(|(l, mi)| (l.clone(), mi.init))
-        .collect();
-    let observed = test.observed();
-
-    let mut visited = 0usize;
-    let mut traces: Vec<&ThreadTrace> = Vec::with_capacity(per_thread.len());
-    let mut combo = vec![0usize; per_thread.len()];
-    'combos: loop {
-        traces.clear();
-        traces.extend(combo.iter().zip(&*per_thread).map(|(&i, ts)| &ts[i]));
-        if prepare_combination(&traces, &thread_cta, &init_mem, &observed, scratch) {
-            if let ControlFlow::Break(b) =
-                visit_combination_pruned(model, ctx, cfg, scratch, &mut visited, stats, f)?
-            {
-                return Ok(Some(b));
-            }
-        }
-
-        for t in (0..combo.len()).rev() {
-            combo[t] += 1;
-            if combo[t] < per_thread[t].len() {
-                continue 'combos;
-            }
-            combo[t] = 0;
-        }
-        break;
-    }
-    Ok(None)
-}
-
-/// Adds read `r`'s fr edges for one (rf source, coherence order)
-/// combination to `batch` under `mask`: with no source (reading the
-/// initial state) the read precedes every write of the order; with a
-/// source it precedes exactly the writes after it.
-fn add_fr_axis(batch: &mut OverlayBatch, src: Option<usize>, order: &[usize], r: usize, mask: u64) {
-    if mask == 0 {
-        return;
-    }
-    match src {
-        None => {
-            for &w in order {
-                batch.add_fr_masked(r, w, mask);
-            }
-        }
-        Some(s) => {
-            let pos = order
-                .iter()
-                .position(|&w| w == s)
-                .expect("rf source is in co");
-            for &w in &order[pos + 1..] {
-                batch.add_fr_masked(r, w, mask);
-            }
-        }
-    }
-}
-
-/// Borrowed working set of one combination's pruned walk — the
-/// immutable slices [`PruneWalk::descend`] threads through the
-/// recursion, leaving only the overlay and contexts mutable.
-struct PruneWalk<'a, 'm> {
-    skel: &'a ExecutionSkeleton,
-    reads: &'a [usize],
-    rf_choices: &'a [Vec<Option<usize>>],
-    co_perms: &'a [Vec<Vec<usize>>],
-    co_perm_counts: &'a [usize],
-    /// `suffix[d]` = candidates spanned below tree level `d`.
-    suffix: &'a [usize],
-    model: &'m dyn Model,
-    cfg: &'m EnumConfig,
-    /// Nanoseconds spent inside partial verdicts, accumulated here and
-    /// folded into [`PruneStats::cut_attempt_micros`] once per
-    /// combination (per-attempt truncation to µs would round the
-    /// sub-microsecond incremental attempts to zero).
-    cut_nanos: Cell<u64>,
-}
-
-impl PruneWalk<'_, '_> {
-    #[allow(clippy::too_many_arguments)]
-    fn descend<B, F>(
-        &self,
-        overlay: &mut Overlay,
-        batch: &mut OverlayBatch,
-        ctx: &mut EvalContext,
-        depth: usize,
-        visited: &mut usize,
-        stats: &mut PruneStats,
-        f: &mut F,
-    ) -> Result<ControlFlow<B>, EnumError>
-    where
-        F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
-    {
-        let num_reads = self.reads.len();
-        let num_levels = num_reads + self.co_perms.len();
-        if depth == num_levels {
-            // Leaf: every slot committed — judge the candidate
-            // concretely, exactly like the exhaustive stream.
-            overlay.stamp();
-            *visited += 1;
-            if *visited > self.cfg.max_executions {
-                return Err(EnumError::TooManyExecutions);
-            }
-            stats.classes_visited += 1;
-            let partial = PartialView::new(
-                self.skel,
-                overlay,
-                self.reads,
-                self.rf_choices,
-                num_reads,
-                self.co_perms.len(),
-            );
-            // Under incremental evaluation the maintained path state
-            // already holds this leaf: at full depth the interval
-            // degenerates (`lo == hi`), the partial verdict is definite
-            // for every plan-backed model, and reading it off the
-            // journalled state costs one level delta instead of a full
-            // overlay-register refill. Models without a partial path
-            // (`None`) fall back to the concrete judgement.
-            let allowed = if self.cfg.incremental {
-                self.model.partial_verdict(ctx, &partial)
-            } else {
-                None
-            }
-            .unwrap_or_else(|| {
-                let view = ExecutionView::new(self.skel, overlay);
-                self.model.allows_view(ctx, &view)
-            });
-            let class = PrunedClass {
-                partial,
-                size: 1,
-                allowed,
-                forced: false,
-            };
-            return Ok(f(&class));
-        }
-
-        if self.cfg.batching {
-            let span = self.suffix[depth];
-            if (2..=64).contains(&span) {
-                // The trailing subtree fits the lane budget: judge all
-                // of its leaves in one bit-plane pass. The parent's
-                // forced-verdict cut already had its chance (cuts fire
-                // before descending), so batches only see subtrees the
-                // pruning kept — the two compose multiplicatively.
-                return self.batch_subtree(overlay, batch, ctx, depth, visited, stats, f);
-            }
-        }
-
-        let branch = if depth < num_reads {
-            self.rf_choices[depth].len()
-        } else {
-            self.co_perm_counts[depth - num_reads]
-        };
-        for choice in 0..branch {
-            if depth < num_reads {
-                overlay.set_rf(self.reads[depth], self.rf_choices[depth][choice]);
-            } else {
-                let li = depth - num_reads;
-                overlay.set_co(li, &self.co_perms[li][choice]);
-            }
-            let remaining = self.suffix[depth + 1];
-            if remaining >= CUT_MIN {
-                overlay.stamp();
-                let partial = PartialView::new(
-                    self.skel,
-                    overlay,
-                    self.reads,
-                    self.rf_choices,
-                    (depth + 1).min(num_reads),
-                    (depth + 1).saturating_sub(num_reads),
-                );
-                let t0 = Instant::now();
-                let verdict = self.model.partial_verdict(ctx, &partial);
-                self.cut_nanos
-                    .set(self.cut_nanos.get() + t0.elapsed().as_nanos() as u64);
-                if let Some(allowed) = verdict {
-                    // Forced: no extension can change the verdict — cut
-                    // the subtree and report it as one class.
-                    *visited += 1;
-                    if *visited > self.cfg.max_executions {
-                        return Err(EnumError::TooManyExecutions);
-                    }
-                    stats.classes_visited += 1;
-                    stats.candidates_pruned += (remaining - 1) as u64;
-                    let class = PrunedClass {
-                        partial,
-                        size: remaining,
-                        allowed,
-                        forced: true,
-                    };
-                    if let ControlFlow::Break(b) = f(&class) {
-                        return Ok(ControlFlow::Break(b));
-                    }
-                    continue;
-                }
-            }
-            if let ControlFlow::Break(b) =
-                self.descend(overlay, batch, ctx, depth + 1, visited, stats, f)?
-            {
-                return Ok(ControlFlow::Break(b));
-            }
-        }
-        Ok(ControlFlow::Continue(()))
-    }
-
-    /// Walks every leaf of the subtree rooted at tree level `depth` in
-    /// lexicographic order — the exhaustive stream's order — rewriting
-    /// `overlay`'s trailing slots in place and calling `g` at each
-    /// leaf. Both passes of the batch protocol use this walker, so the
-    /// lane order of pass 1 provably matches the report order of
-    /// pass 2.
-    fn for_each_leaf<T>(
-        &self,
-        overlay: &mut Overlay,
-        depth: usize,
-        g: &mut impl FnMut(&mut Overlay) -> ControlFlow<T>,
-    ) -> ControlFlow<T> {
-        let num_reads = self.reads.len();
-        let num_levels = num_reads + self.co_perms.len();
-        if depth == num_levels {
-            return g(overlay);
-        }
-        let branch = if depth < num_reads {
-            self.rf_choices[depth].len()
-        } else {
-            self.co_perm_counts[depth - num_reads]
-        };
-        for choice in 0..branch {
-            if depth < num_reads {
-                overlay.set_rf(self.reads[depth], self.rf_choices[depth][choice]);
-            } else {
-                let li = depth - num_reads;
-                overlay.set_co(li, &self.co_perms[li][choice]);
-            }
-            if let ControlFlow::Break(b) = self.for_each_leaf(overlay, depth + 1, g) {
-                return ControlFlow::Break(b);
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Branching factor of tree level `level` (rf choices for read
-    /// axes, permutation count for coherence axes).
-    fn branch_count(&self, level: usize) -> usize {
-        if level < self.reads.len() {
-            self.rf_choices[level].len()
-        } else {
-            self.co_perm_counts[level - self.reads.len()]
-        }
-    }
-
-    /// Axis-masked packing: fills `batch` with every leaf of the
-    /// subtree rooted at tree level `depth` without walking the leaves.
-    ///
-    /// Lane `j` is the subtree's `j`-th leaf in lexicographic order —
-    /// exactly [`PruneWalk::for_each_leaf`]'s order, so pass 2's lane
-    /// counter still lines up. Because that order is a mixed-radix
-    /// count over the trailing axes, the leaves sharing choice `c` of
-    /// an axis form a periodic lane mask (`stride` = product of the
-    /// later axes' spans): each trailing edge is added **once per
-    /// (axis, choice)** under that mask, and each committed prefix edge
-    /// once under the all-lanes mask, instead of once per lane. Packing
-    /// cost drops from O(lanes × edges) scalar adds to O(choices ×
-    /// edges) word ORs — on read-fan shapes this is the difference
-    /// between packing dominating the batch pass and packing being
-    /// noise.
-    fn pack_axes(&self, overlay: &Overlay, batch: &mut OverlayBatch, depth: usize) {
-        let span = self.suffix[depth];
-        let num_reads = self.reads.len();
-        debug_assert!((2..=64).contains(&span));
-        debug_assert_eq!(self.suffix.len(), num_reads + self.co_perms.len() + 1);
-        batch.set_lane_count(span);
-        let live = LaneMask::all(span).bits();
-        // The lanes taking choice `choice` at `level`: a `stride`-wide
-        // block repeating with the axis's period. Both divide `span`,
-        // so the blocks tile the live lanes exactly.
-        let axis_mask = |level: usize, choice: usize| -> u64 {
-            let stride = self.suffix[level + 1];
-            let period = stride * self.branch_count(level);
-            let block = if stride >= 64 {
-                !0u64
-            } else {
-                (1u64 << stride) - 1
-            };
-            let mut mask = 0u64;
-            let mut start = choice * stride;
-            while start < span {
-                mask |= block << start;
-                start += period;
-            }
-            mask
-        };
-        // rf planes: prefix reads carry the overlay's committed source
-        // in every lane; trailing reads one masked edge per choice.
-        for (k, &r) in self.reads.iter().enumerate() {
-            if k < depth {
-                if let Some(w) = overlay.rf_of(r) {
-                    batch.add_rf_masked(w, r, live);
-                }
-            } else {
-                for (c, &src) in self.rf_choices[k].iter().enumerate() {
-                    if let Some(w) = src {
-                        batch.add_rf_masked(w, r, axis_mask(k, c));
-                    }
-                }
-            }
-        }
-        // co planes: transitive pairs of the committed order (prefix
-        // axes) or of each permutation (trailing axes).
-        for li in 0..self.co_perms.len() {
-            let level = num_reads + li;
-            if level < depth {
-                let order = overlay.co_order(li);
-                for i in 0..order.len() {
-                    for j in (i + 1)..order.len() {
-                        batch.add_co_pair_masked(order[i], order[j], live);
-                    }
-                }
-            } else {
-                for p in 0..self.co_perm_counts[li] {
-                    let order: &[usize] = &self.co_perms[li][p];
-                    let mask = axis_mask(level, p);
-                    for i in 0..order.len() {
-                        for j in (i + 1)..order.len() {
-                            batch.add_co_pair_masked(order[i], order[j], mask);
-                        }
-                    }
-                }
-            }
-        }
-        // fr planes: a read's fr edges depend on its rf choice and its
-        // location's coherence order — each may be committed (prefix)
-        // or a trailing axis, giving four mask combinations.
-        for (k, &r) in self.reads.iter().enumerate() {
-            let li = self.skel.loc_index(r);
-            if li == usize::MAX {
-                continue; // the location is never written: no fr edges
-            }
-            let lc = num_reads + li;
-            match (k < depth, lc < depth) {
-                (true, true) => {
-                    add_fr_axis(batch, overlay.rf_of(r), overlay.co_order(li), r, live);
-                }
-                (true, false) => {
-                    let src = overlay.rf_of(r);
-                    for p in 0..self.co_perm_counts[li] {
-                        add_fr_axis(batch, src, &self.co_perms[li][p], r, axis_mask(lc, p));
-                    }
-                }
-                (false, true) => {
-                    let order = overlay.co_order(li);
-                    for (c, &src) in self.rf_choices[k].iter().enumerate() {
-                        add_fr_axis(batch, src, order, r, axis_mask(k, c));
-                    }
-                }
-                (false, false) => {
-                    for (c, &src) in self.rf_choices[k].iter().enumerate() {
-                        let rf_mask = axis_mask(k, c);
-                        for p in 0..self.co_perm_counts[li] {
-                            add_fr_axis(
-                                batch,
-                                src,
-                                &self.co_perms[li][p],
-                                r,
-                                rf_mask & axis_mask(lc, p),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pass 1 of the two-pass batch protocol: packs every leaf of the
-    /// subtree rooted at `depth` into `batch` (lexicographic order, one
-    /// lane per leaf) and evaluates the model once over all lanes.
-    /// Returns the per-lane verdict mask, or `None` when the model has
-    /// no batched evaluator — pass 2 then judges each leaf scalar.
-    fn batch_verdicts(
-        &self,
-        overlay: &mut Overlay,
-        batch: &mut OverlayBatch,
-        ctx: &mut EvalContext,
-        depth: usize,
-        stats: &mut PruneStats,
-    ) -> Option<LaneMask> {
-        batch.begin(self.skel);
-        if batch.needs_lane_walk() {
-            // RMW exclusivity is a per-lane verdict: pack by walking
-            // the leaves (the closure always continues, so the walk
-            // never breaks).
-            let _ = self.for_each_leaf(overlay, depth, &mut |ov: &mut Overlay| {
-                let view = ExecutionView::new(self.skel, ov);
-                batch.push_lane(&view);
-                ControlFlow::<()>::Continue(())
-            });
-        } else {
-            self.pack_axes(overlay, batch, depth);
-        }
-        stats.batches_formed += 1;
-        stats.lanes_filled += batch.lanes() as u64;
-        // The view only feeds skeleton-derived queries in the batched
-        // evaluator; its overlay (left at the last leaf's state) is
-        // never read — lanes carry the per-leaf rf/co planes.
-        let view = ExecutionView::new(self.skel, overlay);
-        self.model.allows_batch(ctx, &view, batch)
-    }
-
-    /// Judges the whole subtree rooted at `depth` as one bit-plane
-    /// batch. When every lane agrees the subtree is reported as a
-    /// single multi-candidate [`PrunedClass`] (the shape a forced cut
-    /// produces); a mixed batch reports each leaf as a size-1 class in
-    /// the exact order the scalar walk would have produced, with
-    /// per-leaf budget accounting so a budget exhausted mid-batch errs
-    /// exactly where the scalar walk would.
-    #[allow(clippy::too_many_arguments)]
-    fn batch_subtree<B, F>(
-        &self,
-        overlay: &mut Overlay,
-        batch: &mut OverlayBatch,
-        ctx: &mut EvalContext,
-        depth: usize,
-        visited: &mut usize,
-        stats: &mut PruneStats,
-        f: &mut F,
-    ) -> Result<ControlFlow<B>, EnumError>
-    where
-        F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
-    {
-        let mask = self.batch_verdicts(overlay, batch, ctx, depth, stats);
-        let num_reads = self.reads.len();
-        let span = self.suffix[depth];
-        if let Some(m) = mask {
-            let live = LaneMask::all(span).bits();
-            let bits = m.bits() & live;
-            if bits == live || bits == 0 {
-                // Every lane agrees: report the subtree as one class,
-                // exactly like a forced cut would — the fold expands a
-                // class's observed combinations without per-candidate
-                // views, so a uniform batch skips the whole per-leaf
-                // report walk. The non-representative lanes count as
-                // pruned (covered without an individual visit), keeping
-                // the partition invariant.
-                overlay.stamp();
-                *visited += 1;
-                if *visited > self.cfg.max_executions {
-                    return Err(EnumError::TooManyExecutions);
-                }
-                stats.classes_visited += 1;
-                stats.candidates_pruned += (span - 1) as u64;
-                let partial = PartialView::new(
-                    self.skel,
-                    overlay,
-                    self.reads,
-                    self.rf_choices,
-                    depth.min(num_reads),
-                    depth.saturating_sub(num_reads),
-                );
-                let class = PrunedClass {
-                    partial,
-                    size: span,
-                    allowed: bits == live,
-                    forced: false,
-                };
-                return Ok(f(&class));
-            }
-        }
-        let mut lane = 0usize;
-        let mut err = None;
-        let flow = self.for_each_leaf(overlay, depth, &mut |ov: &mut Overlay| {
-            ov.stamp();
-            *visited += 1;
-            if *visited > self.cfg.max_executions {
-                err = Some(EnumError::TooManyExecutions);
-                return ControlFlow::Break(None);
-            }
-            stats.classes_visited += 1;
-            let allowed = match mask {
-                Some(m) => m.contains(lane),
-                None => {
-                    let view = ExecutionView::new(self.skel, ov);
-                    self.model.allows_view(ctx, &view)
-                }
-            };
-            lane += 1;
-            let partial = PartialView::new(
-                self.skel,
-                ov,
-                self.reads,
-                self.rf_choices,
-                num_reads,
-                self.co_perms.len(),
-            );
-            let class = PrunedClass {
-                partial,
-                size: 1,
-                allowed,
-                forced: false,
-            };
-            match f(&class) {
-                ControlFlow::Break(b) => ControlFlow::Break(Some(b)),
-                ControlFlow::Continue(()) => ControlFlow::Continue(()),
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        Ok(match flow {
-            ControlFlow::Break(Some(b)) => ControlFlow::Break(b),
-            _ => ControlFlow::Continue(()),
-        })
-    }
-
-    /// The exhaustive batched walk: the same decision tree as
-    /// [`PruneWalk::descend`] but with no partial-verdict cuts — every
-    /// candidate is judged, trailing subtrees of 2–64 leaves as one
-    /// bit-plane batch, the rest scalar. Visits candidates in the
-    /// exhaustive stream's order with its visited-count accounting.
-    #[allow(clippy::too_many_arguments)]
-    fn descend_exhaustive<B, F>(
-        &self,
-        overlay: &mut Overlay,
-        batch: &mut OverlayBatch,
-        ctx: &mut EvalContext,
-        depth: usize,
-        visited: &mut usize,
-        stats: &mut PruneStats,
-        f: &mut F,
-    ) -> Result<ControlFlow<B>, EnumError>
-    where
-        F: FnMut(&ExecutionView<'_>, bool) -> ControlFlow<B>,
-    {
-        let num_reads = self.reads.len();
-        let num_levels = num_reads + self.co_perms.len();
-        if depth == num_levels {
-            overlay.stamp();
-            *visited += 1;
-            if *visited > self.cfg.max_executions {
-                return Err(EnumError::TooManyExecutions);
-            }
-            stats.classes_visited += 1;
-            let view = ExecutionView::new(self.skel, overlay);
-            let allowed = self.model.allows_view(ctx, &view);
-            return Ok(f(&view, allowed));
-        }
-
-        let span = self.suffix[depth];
-        if (2..=64).contains(&span) {
-            let mask = self.batch_verdicts(overlay, batch, ctx, depth, stats);
-            let mut lane = 0usize;
-            let mut err = None;
-            let flow = self.for_each_leaf(overlay, depth, &mut |ov: &mut Overlay| {
-                ov.stamp();
-                *visited += 1;
-                if *visited > self.cfg.max_executions {
-                    err = Some(EnumError::TooManyExecutions);
-                    return ControlFlow::Break(None);
-                }
-                stats.classes_visited += 1;
-                let view = ExecutionView::new(self.skel, ov);
-                let allowed = match mask {
-                    Some(m) => m.contains(lane),
-                    None => self.model.allows_view(ctx, &view),
-                };
-                lane += 1;
-                match f(&view, allowed) {
-                    ControlFlow::Break(b) => ControlFlow::Break(Some(b)),
-                    ControlFlow::Continue(()) => ControlFlow::Continue(()),
-                }
-            });
-            if let Some(e) = err {
-                return Err(e);
-            }
-            return Ok(match flow {
-                ControlFlow::Break(Some(b)) => ControlFlow::Break(b),
-                _ => ControlFlow::Continue(()),
-            });
-        }
-
-        let branch = if depth < num_reads {
-            self.rf_choices[depth].len()
-        } else {
-            self.co_perm_counts[depth - num_reads]
-        };
-        for choice in 0..branch {
-            if depth < num_reads {
-                overlay.set_rf(self.reads[depth], self.rf_choices[depth][choice]);
-            } else {
-                let li = depth - num_reads;
-                overlay.set_co(li, &self.co_perms[li][choice]);
-            }
-            if let ControlFlow::Break(b) =
-                self.descend_exhaustive(overlay, batch, ctx, depth + 1, visited, stats, f)?
-            {
-                return Ok(ControlFlow::Break(b));
-            }
-        }
-        Ok(ControlFlow::Continue(()))
-    }
-}
-
-/// Runs the pruned decision-tree walk over one prepared combination
-/// (see [`prepare_combination`]).
-#[allow(clippy::too_many_arguments)]
-fn visit_combination_pruned<B, F>(
-    model: &dyn Model,
-    ctx: &mut EvalContext,
-    cfg: &EnumConfig,
-    scratch: &mut EnumScratch,
-    visited: &mut usize,
-    stats: &mut PruneStats,
-    f: &mut F,
-) -> Result<ControlFlow<B>, EnumError>
-where
-    F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
-{
-    let (num_reads, num_locs) = fill_suffix(scratch);
-
-    let EnumScratch {
-        skel,
-        overlay,
-        reads,
-        rf_choices,
-        co_perms,
-        co_perm_counts,
-        suffix,
-        batch,
-        ..
-    } = scratch;
-    let walk = PruneWalk {
-        skel,
-        reads,
-        rf_choices: &rf_choices[..num_reads],
-        co_perms: &co_perms[..num_locs],
-        co_perm_counts: &co_perm_counts[..num_locs],
-        suffix,
-        model,
-        cfg,
-        cut_nanos: Cell::new(0),
-    };
-    ctx.set_incremental(cfg.incremental);
-
-    let result = (|| {
-        // Root check: the combination may be forced before anything is
-        // committed (e.g. single-candidate rf slots inducing a definite
-        // conflict) — then the whole combination is one class.
-        if walk.suffix[0] >= CUT_MIN {
-            overlay.stamp();
-            let partial = PartialView::new(walk.skel, overlay, walk.reads, walk.rf_choices, 0, 0);
-            let t0 = Instant::now();
-            let verdict = model.partial_verdict(ctx, &partial);
-            walk.cut_nanos
-                .set(walk.cut_nanos.get() + t0.elapsed().as_nanos() as u64);
-            if let Some(allowed) = verdict {
-                *visited += 1;
-                if *visited > cfg.max_executions {
-                    return Err(EnumError::TooManyExecutions);
-                }
-                stats.classes_visited += 1;
-                stats.candidates_pruned += (walk.suffix[0] - 1) as u64;
-                let class = PrunedClass {
-                    partial,
-                    size: walk.suffix[0],
-                    allowed,
-                    forced: true,
-                };
-                return Ok(f(&class));
-            }
-        }
-        walk.descend(overlay, batch, ctx, 0, visited, stats, f)
-    })();
-    // Fold the measurements on every exit path (including budget errors
-    // and visitor breaks) so partially walked combinations still report
-    // their work.
-    stats.cut_attempt_micros += walk.cut_nanos.get() / 1000;
-    stats.registers_refilled += ctx.take_registers_refilled();
-    result
-}
-
-/// Computes `scratch.suffix` — subtree sizes per tree level, saturating
-/// (only compared against thresholds and added into u64 counters after
-/// subtraction of the one candidate actually evaluated) — for the
-/// prepared combination. Returns `(num_reads, num_locs)`.
-fn fill_suffix(scratch: &mut EnumScratch) -> (usize, usize) {
-    let num_reads = scratch.reads.len();
-    let num_locs = scratch.skel.writes_per_loc().len();
-    let num_levels = num_reads + num_locs;
-    scratch.suffix.clear();
-    scratch.suffix.resize(num_levels + 1, 1);
-    for d in (0..num_levels).rev() {
-        let branch = if d < num_reads {
-            scratch.rf_choices[d].len()
-        } else {
-            scratch.co_perm_counts[d - num_reads]
-        };
-        scratch.suffix[d] = scratch.suffix[d + 1].saturating_mul(branch);
-    }
-    (num_reads, num_locs)
-}
-
-/// Streams every candidate of `test` through `f` together with
-/// `model`'s verdict, judging trailing sibling groups of 2–64
-/// candidates in one bit-plane pass — the batched counterpart of
-/// running [`crate::model::Model::allows_view`] inside a
-/// [`for_each_execution`] visitor.
-///
-/// Candidates arrive in the exhaustive stream's deterministic order
-/// with its visited-count accounting: each candidate handed to `f`
-/// counts one visit against [`EnumConfig::max_executions`], including
-/// mid-batch (a budget exhausted inside a batch errs exactly where the
-/// scalar stream would). `stats` accumulates the batch counters
-/// ([`PruneStats::batches_formed`] / [`PruneStats::lanes_filled`];
-/// `classes_visited` counts candidates here, `candidates_pruned` stays
-/// 0). Models without a batched evaluator
-/// ([`crate::model::Model::allows_batch`] returning `None`) degrade to
-/// per-candidate judgement with identical results.
-///
-/// # Errors
-///
-/// Fails if symbolic execution fails or more than
-/// [`EnumConfig::max_executions`] candidates are visited.
-pub fn for_each_execution_batched<B, F>(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-    stats: &mut PruneStats,
-    mut f: F,
-) -> Result<Option<B>, EnumError>
-where
-    F: FnMut(&ExecutionView<'_>, bool) -> ControlFlow<B>,
-{
-    ENUM_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => {
-            for_each_execution_batched_with(test, model, cfg, ctx, &mut scratch, stats, &mut f)
-        }
-        Err(_) => for_each_execution_batched_with(
-            test,
-            model,
-            cfg,
-            ctx,
-            &mut EnumScratch::new(),
-            stats,
-            &mut f,
-        ),
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn for_each_execution_batched_with<B, F>(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-    scratch: &mut EnumScratch,
-    stats: &mut PruneStats,
-    f: &mut F,
-) -> Result<Option<B>, EnumError>
-where
-    F: FnMut(&ExecutionView<'_>, bool) -> ControlFlow<B>,
-{
-    let (_domains, per_thread) = fixed_point_traces_cached(test, cfg)?;
-    ctx.take_registers_refilled();
-
-    let thread_cta: Vec<usize> = (0..test.num_threads())
-        .map(|t| test.scope_tree().placement(t).cta)
-        .collect();
-    let init_mem: BTreeMap<Loc, i64> = test
-        .memory()
-        .iter()
-        .map(|(l, mi)| (l.clone(), mi.init))
-        .collect();
-    let observed = test.observed();
-
-    let mut visited = 0usize;
-    let mut traces: Vec<&ThreadTrace> = Vec::with_capacity(per_thread.len());
-    let mut combo = vec![0usize; per_thread.len()];
-    'combos: loop {
-        traces.clear();
-        traces.extend(combo.iter().zip(&*per_thread).map(|(&i, ts)| &ts[i]));
-        if prepare_combination(&traces, &thread_cta, &init_mem, &observed, scratch) {
-            if let ControlFlow::Break(b) =
-                visit_combination_batched(model, ctx, cfg, scratch, &mut visited, stats, f)?
-            {
-                return Ok(Some(b));
-            }
-        }
-
-        for t in (0..combo.len()).rev() {
-            combo[t] += 1;
-            if combo[t] < per_thread[t].len() {
-                continue 'combos;
-            }
-            combo[t] = 0;
-        }
-        break;
-    }
-    Ok(None)
-}
-
-/// Runs the batched exhaustive walk over one prepared combination.
-fn visit_combination_batched<B, F>(
-    model: &dyn Model,
-    ctx: &mut EvalContext,
-    cfg: &EnumConfig,
-    scratch: &mut EnumScratch,
-    visited: &mut usize,
-    stats: &mut PruneStats,
-    f: &mut F,
-) -> Result<ControlFlow<B>, EnumError>
-where
-    F: FnMut(&ExecutionView<'_>, bool) -> ControlFlow<B>,
-{
-    let (num_reads, num_locs) = fill_suffix(scratch);
-
-    let EnumScratch {
-        skel,
-        overlay,
-        reads,
-        rf_choices,
-        co_perms,
-        co_perm_counts,
-        suffix,
-        batch,
-        ..
-    } = scratch;
-    let walk = PruneWalk {
-        skel,
-        reads,
-        rf_choices: &rf_choices[..num_reads],
-        co_perms: &co_perms[..num_locs],
-        co_perm_counts: &co_perm_counts[..num_locs],
-        suffix,
-        model,
-        cfg,
-        cut_nanos: Cell::new(0),
-    };
-    let result = walk.descend_exhaustive(overlay, batch, ctx, 0, visited, stats, f);
-    stats.registers_refilled += ctx.take_registers_refilled();
-    result
 }
 
 /// Materialises all candidate executions of `test` — a thin wrapper over
@@ -1860,11 +764,6 @@ pub fn model_outcomes(
 /// heap allocation per candidate. Sweep workers hold one context each
 /// and pass it here on verdict-cache misses.
 ///
-/// With [`EnumConfig::pruning`] set the judgement runs over
-/// [`for_each_execution_pruned`] instead — same `ModelOutcomes`, bit
-/// for bit, with forced subtrees folded in as classes. Callers that
-/// want the pruning counters use [`model_outcomes_counted`].
-///
 /// # Errors
 ///
 /// Propagates [`EnumError`]s from the enumeration.
@@ -1877,10 +776,7 @@ pub fn model_outcomes_with(
     model_outcomes_counted(test, model, cfg, ctx).map(|(outcomes, _)| outcomes)
 }
 
-/// [`model_outcomes_with`] plus the [`PruneStats`] of the run. On the
-/// exhaustive path (pruning off) the stats degenerate to
-/// `classes_visited == num_candidates`, `candidates_pruned == 0`, so
-/// sweep cells report comparable counters on both arms.
+/// [`model_outcomes_with`] plus the [`WalkStats`] of the run.
 ///
 /// # Errors
 ///
@@ -1890,114 +786,23 @@ pub fn model_outcomes_counted(
     model: &dyn Model,
     cfg: &EnumConfig,
     ctx: &mut EvalContext,
-) -> Result<(ModelOutcomes, PruneStats), EnumError> {
-    if !cfg.pruning {
-        if cfg.batching {
-            return model_outcomes_batched(test, model, cfg, ctx);
-        }
-        let outcomes = model_outcomes_exhaustive(test, model, cfg, ctx)?;
-        let stats = PruneStats {
-            classes_visited: outcomes.num_candidates as u64,
-            ..PruneStats::default()
-        };
-        return Ok((outcomes, stats));
-    }
-    let cond = test.cond();
-    let mut all = BTreeSet::new();
-    let mut allowed: BTreeSet<Outcome> = BTreeSet::new();
-    let mut num_candidates = 0usize;
-    let mut num_allowed = 0usize;
-    let mut witnessed = false;
-    let mut vals: Vec<i64> = Vec::new();
-    let mut seen = SeenOutcomes::new();
-    let mut allowed_seen: Vec<bool> = Vec::new();
-    let mut stats = PruneStats::default();
-    for_each_execution_pruned(test, model, cfg, ctx, &mut stats, |class| {
-        num_candidates += class.size();
-        if class.allowed() {
-            num_allowed += class.size();
-        }
-        // Fold the class's spanned outcomes: each observed combination
-        // occurs in at least one candidate of the class, and candidates
-        // outside the class contribute their outcomes via their own
-        // classes — the union over classes is exactly the exhaustive
-        // outcome set.
-        for combo in 0..class.observed_combos() {
-            class.fill_observed(combo, &mut vals);
-            let idx = match seen.find(&vals) {
-                Some(i) => i,
-                None => {
-                    let outcome = class.outcome_from_vals(&vals);
-                    let witnesses = cond.witnessed_by(&outcome);
-                    all.insert(outcome.clone());
-                    allowed_seen.push(false);
-                    seen.insert(&vals, outcome, witnesses)
-                }
-            };
-            if class.allowed() {
-                if seen.witnesses(idx) {
-                    witnessed = true;
-                }
-                if !allowed_seen[idx] {
-                    allowed_seen[idx] = true;
-                    allowed.insert(seen.get(idx).0.clone());
-                }
-            }
-        }
-        ControlFlow::<()>::Continue(())
-    })?;
-    Ok((
-        ModelOutcomes {
-            all_outcomes: all,
-            allowed_outcomes: allowed,
-            num_candidates,
-            num_allowed,
-            condition_witnessed: witnessed,
-        },
-        stats,
-    ))
-}
-
-/// The exhaustive-stream judgement loop backing
-/// [`model_outcomes_counted`] — and the differential oracle the pruned
-/// arm is tested against.
-fn model_outcomes_exhaustive(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-) -> Result<ModelOutcomes, EnumError> {
+) -> Result<(ModelOutcomes, WalkStats), EnumError> {
     let mut fold = OutcomeFold::new(test.cond());
     for_each_execution(test, cfg, |view| {
         let allowed = model.allows_view(ctx, view);
         fold.candidate(view, allowed);
         ControlFlow::<()>::Continue(())
     })?;
-    Ok(fold.finish())
+    let outcomes = fold.finish();
+    let stats = WalkStats {
+        classes_visited: outcomes.num_candidates as u64,
+        ..WalkStats::default()
+    };
+    Ok((outcomes, stats))
 }
 
-/// The batched exhaustive judgement loop: the same fold as
-/// [`model_outcomes_exhaustive`] fed by [`for_each_execution_batched`],
-/// which delivers each candidate's verdict precomputed — lane-parallel
-/// for trailing sibling groups. Same `ModelOutcomes`, bit for bit.
-fn model_outcomes_batched(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-) -> Result<(ModelOutcomes, PruneStats), EnumError> {
-    let mut fold = OutcomeFold::new(test.cond());
-    let mut stats = PruneStats::default();
-    for_each_execution_batched(test, model, cfg, ctx, &mut stats, |view, allowed| {
-        fold.candidate(view, allowed);
-        ControlFlow::<()>::Continue(())
-    })?;
-    Ok((fold.finish(), stats))
-}
-
-/// The exhaustive fold shared by the scalar and batched judgement
-/// loops: accumulates a [`ModelOutcomes`] one `(candidate, verdict)`
-/// pair at a time.
+/// The judgement fold behind [`model_outcomes_counted`]: accumulates a
+/// [`ModelOutcomes`] one `(candidate, verdict)` pair at a time.
 ///
 /// Dedup is by observed-value vector: `vals` is refilled per candidate
 /// and matched against the distinct vectors seen so far (a handful per
@@ -2163,54 +968,6 @@ pub fn condition_witnessed_with(
     ctx: &mut EvalContext,
 ) -> Result<bool, EnumError> {
     let cond = test.cond();
-    if cfg.pruning {
-        // Pruned arm: an allowed class witnesses the condition iff one
-        // of its spanned observed combinations does — stop at the first.
-        let mut vals: Vec<i64> = Vec::new();
-        let mut stats = PruneStats::default();
-        let hit = for_each_execution_pruned(test, model, cfg, ctx, &mut stats, |class| {
-            if class.allowed() {
-                for combo in 0..class.observed_combos() {
-                    class.fill_observed(combo, &mut vals);
-                    if cond.witnessed_by(&class.outcome_from_vals(&vals)) {
-                        return ControlFlow::Break(());
-                    }
-                }
-            }
-            ControlFlow::Continue(())
-        })?;
-        return Ok(hit.is_some());
-    }
-    if cfg.batching {
-        // Batched exhaustive arm: verdicts arrive precomputed (lane-
-        // parallel for sibling groups), so the witness probe only runs
-        // on allowed candidates — the walk breaks at the same first
-        // allowed witness the scalar stream would.
-        let mut vals: Vec<i64> = Vec::new();
-        let mut seen = SeenOutcomes::new();
-        let mut stats = PruneStats::default();
-        let hit =
-            for_each_execution_batched(test, model, cfg, ctx, &mut stats, |view, allowed| {
-                if !allowed {
-                    return ControlFlow::Continue(());
-                }
-                view.fill_observed(&mut vals);
-                let idx = match seen.find(&vals) {
-                    Some(i) => i,
-                    None => {
-                        let outcome = view.outcome();
-                        let witnesses = cond.witnessed_by(&outcome);
-                        seen.insert(&vals, outcome, witnesses)
-                    }
-                };
-                if seen.witnesses(idx) {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            })?;
-        return Ok(hit.is_some());
-    }
     let mut vals: Vec<i64> = Vec::new();
     let mut seen = SeenOutcomes::new();
     let mut fixed: Option<(u64, usize)> = None;
@@ -2406,310 +1163,5 @@ mod tests {
         })
         .unwrap();
         assert!(broke.is_some() && visits == 2);
-    }
-
-    #[test]
-    fn pruned_classes_partition_the_candidate_space() {
-        let model = crate::model::sc_model();
-        for test in [
-            corpus::corr(),
-            corpus::mp(ThreadScope::InterCta, None),
-            corpus::sb(ThreadScope::IntraCta, None),
-            corpus::dlb_lb(false),
-        ] {
-            let cfg = EnumConfig {
-                pruning: true,
-                ..EnumConfig::default()
-            };
-            let exhaustive = enumerate_executions(&test, &EnumConfig::default())
-                .unwrap()
-                .len();
-            let mut ctx = EvalContext::new();
-            let mut stats = PruneStats::default();
-            let mut spanned = 0usize;
-            let mut classes = 0u64;
-            for_each_execution_pruned(&test, &model, &cfg, &mut ctx, &mut stats, |class| {
-                spanned += class.size();
-                classes += 1;
-                // Cuts only fire on subtrees of at least CUT_MIN
-                // candidates; leaves span exactly one.
-                assert!(class.size() == 1 || class.size() >= CUT_MIN);
-                assert_eq!(class.is_forced(), class.size() > 1);
-                ControlFlow::<()>::Continue(())
-            })
-            .unwrap();
-            assert_eq!(
-                spanned,
-                exhaustive,
-                "{}: classes must partition",
-                test.name()
-            );
-            assert_eq!(classes, stats.classes_visited, "{}", test.name());
-            assert_eq!(
-                stats.classes_visited + stats.candidates_pruned,
-                exhaustive as u64,
-                "{}: counters must account for every candidate",
-                test.name()
-            );
-        }
-    }
-
-    #[test]
-    fn pruned_outcomes_match_exhaustive() {
-        let model = crate::model::sc_model();
-        for test in [
-            corpus::corr(),
-            corpus::mp(ThreadScope::InterCta, None),
-            corpus::dlb_mp(false),
-        ] {
-            let mut ctx = EvalContext::new();
-            let exhaustive =
-                model_outcomes_with(&test, &model, &EnumConfig::default(), &mut ctx).unwrap();
-            let pruned_cfg = EnumConfig {
-                pruning: true,
-                ..EnumConfig::default()
-            };
-            let (pruned, stats) =
-                model_outcomes_counted(&test, &model, &pruned_cfg, &mut ctx).unwrap();
-            assert_eq!(pruned, exhaustive, "{}", test.name());
-            assert_eq!(
-                stats.classes_visited + stats.candidates_pruned,
-                exhaustive.num_candidates as u64,
-                "{}",
-                test.name()
-            );
-            assert!(
-                condition_witnessed_with(&test, &model, &pruned_cfg, &mut ctx).unwrap()
-                    == exhaustive.condition_witnessed,
-                "{}",
-                test.name()
-            );
-        }
-    }
-
-    #[test]
-    fn pruned_limit_counts_classes_not_candidates() {
-        // The read-fan shape under SC prunes heavily: most value
-        // patterns embed a forbidden new-then-old read pair, so the
-        // class count falls far below the candidate count and a budget
-        // the exhaustive stream exceeds still completes under pruning.
-        let model = crate::model::sc_model();
-        let test = weakgpu_litmus::corpus_extra::corr_fan(2, 6);
-        let candidates = enumerate_executions(&test, &EnumConfig::default())
-            .unwrap()
-            .len();
-        let mut ctx = EvalContext::new();
-        let mut stats = PruneStats::default();
-        let cfg = EnumConfig {
-            pruning: true,
-            ..EnumConfig::default()
-        };
-        for_each_execution_pruned(&test, &model, &cfg, &mut ctx, &mut stats, |_| {
-            ControlFlow::<()>::Continue(())
-        })
-        .unwrap();
-        let classes = stats.classes_visited;
-        assert!(
-            (classes as usize) < candidates,
-            "pruning must collapse sb's candidate space ({classes} vs {candidates})"
-        );
-        // A budget between the two completes pruned but trips exhaustive.
-        let between = EnumConfig {
-            max_executions: classes as usize,
-            pruning: true,
-            ..EnumConfig::default()
-        };
-        let mut stats = PruneStats::default();
-        assert!(
-            for_each_execution_pruned(&test, &model, &between, &mut ctx, &mut stats, |_| {
-                ControlFlow::<()>::Continue(())
-            })
-            .is_ok()
-        );
-        let exhaustive_budget = EnumConfig {
-            max_executions: classes as usize,
-            ..EnumConfig::default()
-        };
-        assert_eq!(
-            for_each_execution(&test, &exhaustive_budget, |_| ControlFlow::<()>::Continue(
-                ()
-            ))
-            .unwrap_err(),
-            EnumError::TooManyExecutions
-        );
-        // One class fewer trips the pruned limit too …
-        let tight = EnumConfig {
-            max_executions: classes as usize - 1,
-            pruning: true,
-            ..EnumConfig::default()
-        };
-        let mut stats = PruneStats::default();
-        assert_eq!(
-            for_each_execution_pruned(&test, &model, &tight, &mut ctx, &mut stats, |_| {
-                ControlFlow::<()>::Continue(())
-            })
-            .unwrap_err(),
-            EnumError::TooManyExecutions
-        );
-        // … unless the visitor exits before reaching it.
-        let mut stats = PruneStats::default();
-        let broke = for_each_execution_pruned(&test, &model, &tight, &mut ctx, &mut stats, |_| {
-            ControlFlow::Break(7)
-        })
-        .unwrap();
-        assert_eq!(broke, Some(7));
-    }
-
-    #[test]
-    fn batched_outcomes_match_exhaustive() {
-        let model = crate::model::sc_model();
-        for test in [
-            corpus::corr(),
-            corpus::mp(ThreadScope::InterCta, None),
-            corpus::dlb_mp(false),
-        ] {
-            let mut ctx = EvalContext::new();
-            let exhaustive =
-                model_outcomes_with(&test, &model, &EnumConfig::default(), &mut ctx).unwrap();
-            for pruning in [false, true] {
-                let cfg = EnumConfig {
-                    pruning,
-                    batching: true,
-                    ..EnumConfig::default()
-                };
-                let (got, stats) = model_outcomes_counted(&test, &model, &cfg, &mut ctx).unwrap();
-                assert_eq!(got, exhaustive, "{} pruning={pruning}", test.name());
-                assert_eq!(
-                    stats.classes_visited + stats.candidates_pruned,
-                    exhaustive.num_candidates as u64,
-                    "{} pruning={pruning}",
-                    test.name()
-                );
-                assert_eq!(
-                    condition_witnessed_with(&test, &model, &cfg, &mut ctx).unwrap(),
-                    exhaustive.condition_witnessed,
-                    "{} pruning={pruning}",
-                    test.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_limit_counts_visits_including_mid_batch() {
-        // `max_executions` under batching follows the pruned-walk
-        // convention: every node handed to the visitor counts one
-        // visit, and a budget exhausted mid-batch errs on the exact
-        // leaf the scalar walk would have erred on.
-        let model = crate::model::sc_model();
-        let test = weakgpu_litmus::corpus_extra::corr_fan(2, 6);
-        let candidates = enumerate_executions(&test, &EnumConfig::default())
-            .unwrap()
-            .len();
-        let mut ctx = EvalContext::new();
-
-        // The batched exhaustive stream visits every candidate once.
-        let cfg = EnumConfig {
-            batching: true,
-            ..EnumConfig::default()
-        };
-        let mut stats = PruneStats::default();
-        let mut visits = 0usize;
-        for_each_execution_batched(&test, &model, &cfg, &mut ctx, &mut stats, |_, _| {
-            visits += 1;
-            ControlFlow::<()>::Continue(())
-        })
-        .unwrap();
-        assert_eq!(visits, candidates);
-        assert_eq!(stats.classes_visited, candidates as u64);
-        assert!(stats.batches_formed > 0, "fan tests must form batches");
-        assert!(stats.lanes_filled >= 2 * stats.batches_formed);
-
-        // A budget one short trips mid-walk — inside a batch …
-        let tight = EnumConfig {
-            max_executions: candidates - 1,
-            batching: true,
-            ..EnumConfig::default()
-        };
-        let mut stats = PruneStats::default();
-        assert_eq!(
-            for_each_execution_batched(&test, &model, &tight, &mut ctx, &mut stats, |_, _| {
-                ControlFlow::<()>::Continue(())
-            })
-            .unwrap_err(),
-            EnumError::TooManyExecutions
-        );
-        // … unless the visitor breaks mid-batch first.
-        let mut stats = PruneStats::default();
-        let mut visits = 0usize;
-        let broke = for_each_execution_batched(&test, &model, &tight, &mut ctx, &mut stats, {
-            let visits = &mut visits;
-            move |_, _| {
-                *visits += 1;
-                if *visits == 3 {
-                    ControlFlow::Break(9)
-                } else {
-                    ControlFlow::Continue(())
-                }
-            }
-        })
-        .unwrap();
-        assert_eq!(broke, Some(9));
-        assert_eq!(visits, 3);
-
-        // Pruned + batched: visited nodes (cut classes + batch leaves)
-        // still partition the candidate space, and the budget counts
-        // exactly those nodes.
-        let pcfg = EnumConfig {
-            pruning: true,
-            batching: true,
-            ..EnumConfig::default()
-        };
-        let mut stats = PruneStats::default();
-        let mut spanned = 0usize;
-        for_each_execution_pruned(&test, &model, &pcfg, &mut ctx, &mut stats, |class| {
-            spanned += class.size();
-            ControlFlow::<()>::Continue(())
-        })
-        .unwrap();
-        assert_eq!(spanned, candidates);
-        assert_eq!(
-            stats.classes_visited + stats.candidates_pruned,
-            candidates as u64
-        );
-        assert!(stats.batches_formed > 0);
-        let nodes = stats.classes_visited as usize;
-        let tight = EnumConfig {
-            max_executions: nodes - 1,
-            pruning: true,
-            batching: true,
-            ..EnumConfig::default()
-        };
-        let mut stats = PruneStats::default();
-        assert_eq!(
-            for_each_execution_pruned(&test, &model, &tight, &mut ctx, &mut stats, |_| {
-                ControlFlow::<()>::Continue(())
-            })
-            .unwrap_err(),
-            EnumError::TooManyExecutions
-        );
-        let exact = EnumConfig {
-            max_executions: nodes,
-            pruning: true,
-            batching: true,
-            ..EnumConfig::default()
-        };
-        let mut stats = PruneStats::default();
-        assert!(
-            for_each_execution_pruned(
-                &test,
-                &model,
-                &exact,
-                &mut ctx,
-                &mut stats,
-                |_| ControlFlow::<()>::Continue(())
-            )
-            .is_ok()
-        );
     }
 }

@@ -1,4 +1,4 @@
-//! Persistent, shareable verdict caches (the `weakgpu-cache/1` format).
+//! Persistent, shareable verdict caches (the `weakgpu-cache/2` format).
 //!
 //! A [`VerdictCache`] pays the cache-miss
 //! enumeration cost once per process — and then throws the result away
@@ -7,7 +7,7 @@
 //! long-running `weakgpu serve` daemon) starts warm:
 //!
 //! * **Versioned** — the first line is the schema tag
-//!   [`SCHEMA`] (`weakgpu-cache/1`); a loader that meets any other tag
+//!   [`SCHEMA`] (`weakgpu-cache/2`); a loader that meets any other tag
 //!   refuses with a diagnostic instead of misreading the records.
 //! * **Line-oriented and append-friendly** — after the header, each
 //!   line is one complete `key → ModelOutcomes` record, so a writer can
@@ -60,7 +60,7 @@ use crate::cache::VerdictCache;
 use crate::enumerate::ModelOutcomes;
 
 /// Version tag of the on-disk cache format; the file's first line.
-pub const SCHEMA: &str = "weakgpu-cache/1";
+pub const SCHEMA: &str = "weakgpu-cache/2";
 
 /// Why a cache file could not be written or restored.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -266,7 +266,7 @@ fn parse_record(text: &str, line: usize) -> Result<(String, ModelOutcomes), Pers
     ))
 }
 
-/// Serialises `cache` to the `weakgpu-cache/1` text format: the schema
+/// Serialises `cache` to the `weakgpu-cache/2` text format: the schema
 /// header, then one record per entry, sorted by key so equal caches
 /// render byte-identically.
 pub fn render(cache: &VerdictCache) -> String {
@@ -282,7 +282,7 @@ pub fn render(cache: &VerdictCache) -> String {
     out
 }
 
-/// Parses a `weakgpu-cache/1` document into a cache of warm entries.
+/// Parses a `weakgpu-cache/2` document into a cache of warm entries.
 ///
 /// Duplicate keys are allowed (they arise from appending): the **last**
 /// record wins, matching append semantics. Restored entries count as
@@ -483,7 +483,11 @@ mod tests {
     fn wrong_version_is_rejected() {
         let err = parse("weakgpu-cache/9\n").unwrap_err();
         assert!(matches!(err, PersistError::Version(_)), "{err}");
-        assert!(err.to_string().contains("weakgpu-cache/1"), "{err}");
+        assert!(err.to_string().contains("weakgpu-cache/2"), "{err}");
+        // Version 1 keyed entries by the enumeration config's walk-mode
+        // flags; its keys never match, so the file is refused whole.
+        let err = parse("weakgpu-cache/1\n").unwrap_err();
+        assert!(matches!(err, PersistError::Version(_)), "{err}");
         assert!(parse("").is_err());
         assert!(parse("garbage").is_err());
     }

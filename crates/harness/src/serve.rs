@@ -19,8 +19,6 @@
 //! | `test`    | corpus test name, or inline litmus source if it has a `\n` |
 //! | `litmus`  | inline litmus source (always parsed, never name-looked-up) |
 //! | `model`   | model name (default from [`ServeConfig::default_model`])   |
-//! | `pruning` | judge via the rf-class pruned enumerator (default config)  |
-//! | `incremental` | judge the tree walk by overlay delta (implies pruning) |
 //!
 //! A `verdict` response carries `ok`, the resolved `test`/`model` names,
 //! `num_candidates`, `num_allowed`, `condition_witnessed`, the rendered
@@ -33,9 +31,9 @@
 //! afterwards ([`weakgpu_axiom::persist`]) — that is the flush-on-
 //! graceful-shutdown contract the CLI front end implements.
 //!
-//! The cache sits behind the same probe/publish lock discipline the
-//! sweep workers use, so a future socket front end can serve concurrent
-//! connections from one cache without changing this module.
+//! The cache sits behind a probe/publish lock discipline, so a future
+//! socket front end can serve concurrent connections from one cache
+//! without changing this module.
 
 use std::io::{BufRead, Write};
 use std::sync::Mutex;
@@ -58,16 +56,12 @@ pub struct ServeConfig {
     /// Model judging requests that name none (`"ptx"` for the paper's
     /// validation semantics).
     pub default_model: String,
-    /// Judge through the rf-class pruned enumerator when the request
-    /// does not choose (verdicts are bit-identical either way).
-    pub pruning: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             default_model: "ptx".to_owned(),
-            pruning: false,
         }
     }
 }
@@ -250,27 +244,10 @@ fn verdict_response(
         Ok(m) => m,
         Err(msg) => return error_response(id, &msg),
     };
-    let pruning = match request.get("pruning") {
-        None => cfg.pruning,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return error_response(id, "pruning must be a boolean"),
-    };
-    let incremental = match request.get("incremental") {
-        None => false,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return error_response(id, "incremental must be a boolean"),
-    };
-    let enum_cfg = EnumConfig {
-        // Incremental evaluation only exists on the tree walk, so it
-        // drags pruning in with it. Verdict-cache keys cover the whole
-        // config, so the two request shapes cache separately.
-        pruning: pruning || incremental,
-        incremental,
-        ..EnumConfig::default()
-    };
-    // Probe under the lock, enumerate outside it, publish the result —
-    // the sweep workers' discipline, so concurrent front ends can share
-    // this cache unchanged.
+    let enum_cfg = EnumConfig::default();
+    // Probe under the lock, enumerate outside it, publish the result, so
+    // concurrent front ends can share this cache unchanged (racing
+    // misses on one shape both judge it; the first publish wins).
     let probed = cache
         .lock()
         .expect("no poisoned locks")
@@ -367,7 +344,7 @@ mod tests {
     fn answers_a_batch_of_verdict_requests() {
         let batch = r#"{"id": 1, "test": "mp+inter-CTA"}
 {"id": 2, "test": "sb+inter-CTA", "model": "sc"}
-{"id": 3, "test": "mp+inter-CTA", "pruning": true}
+{"id": 3, "test": "mp+inter-CTA"}
 "#;
         let (summary, rs) = run(batch, &ServeConfig::default());
         assert_eq!((summary.requests, summary.errors), (3, 0));
@@ -380,11 +357,12 @@ mod tests {
         assert_eq!(rs[0].get("cached"), Some(&Json::Bool(false)));
         assert_eq!(rs[1].get("condition_witnessed"), Some(&Json::Bool(false)));
         assert_eq!(rs[1].get("model").unwrap().as_str(), Some("sc"));
-        // Pruned and exhaustive agree (different cache entries).
+        // The repeat is answered by the cache, with the same verdict.
+        assert_eq!(rs[2].get("cached"), Some(&Json::Bool(true)));
         assert_eq!(
             rs[2].get("num_candidates"),
             rs[0].get("num_candidates"),
-            "pruned verdict must match"
+            "the cached verdict must match"
         );
         assert!(
             !rs[0]

@@ -50,9 +50,6 @@ pub fn check_soundness(
 /// every model verdict. The verdict streams the candidate space through
 /// the skeleton/overlay visitor (one skeleton per trace combination, an
 /// in-place rf/co overlay per candidate) rather than materialising it.
-/// With [`EnumConfig::pruning`] set, the verdict comes from the rf-class
-/// pruned walk instead — bit-identical by construction, so the report is
-/// the same either way.
 ///
 /// # Errors
 ///
@@ -144,41 +141,6 @@ mod tests {
         let ptx =
             check_soundness(&test, &report.histogram, &ptx_model(), &Default::default()).unwrap();
         assert!(ptx.is_sound());
-    }
-
-    #[test]
-    fn pruned_soundness_report_matches_exhaustive() {
-        let cfg = RunConfig {
-            iterations: 10_000,
-            incantations: Incantations::best_inter_cta(),
-            ..RunConfig::default()
-        };
-        let pruned_cfg = EnumConfig {
-            pruning: true,
-            ..EnumConfig::default()
-        };
-        let mut ctx = EvalContext::new();
-        for model in [ptx_model(), operational_baseline()] {
-            for test in [
-                corpus::corr(),
-                corpus::mp(ThreadScope::InterCta, None),
-                corpus::dlb_lb(false),
-            ] {
-                let report = run_test(&test, Chip::GtxTitan, &cfg).unwrap();
-                let exhaustive = check_soundness_with(
-                    &test,
-                    &report.histogram,
-                    &model,
-                    &EnumConfig::default(),
-                    &mut ctx,
-                )
-                .unwrap();
-                let pruned =
-                    check_soundness_with(&test, &report.histogram, &model, &pruned_cfg, &mut ctx)
-                        .unwrap();
-                assert_eq!(pruned, exhaustive, "{}", test.name());
-            }
-        }
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //!   bit-identical to the same cells of an unsharded run.
 //! * **Model-verdict caching** — soundness is checked per cell against
 //!   the model, but the axiomatic verdict depends only on the test's
-//!   shape, so a [`VerdictCache`] enumerates each shape once (cells of
-//!   one test racing on first completion may enumerate twice; the first
-//!   publish wins) and answers the other chips' cells from the cache
-//!   (the hot path measured in `BENCH_sweep.json`). Cache misses are
-//!   judged through the model's compiled plan with one
+//!   shape, so a [`VerdictCache`] enumerates each shape exactly once (a
+//!   cell whose shape another worker is already judging waits for that
+//!   publish and counts a hit) and answers the other chips' cells from
+//!   the cache (the hot path measured in `BENCH_sweep.json`). Cache
+//!   misses are judged through the model's compiled plan with one
 //!   [`EvalContext`] per worker thread (the cache-miss hot path measured
 //!   in `BENCH_model.json`), composing the two optimisations: the cache
 //!   removes repeat enumerations, the plan makes the remaining ones
@@ -28,11 +28,11 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use weakgpu_axiom::cache::VerdictCache;
-use weakgpu_axiom::enumerate::{EnumConfig, EnumError};
+use weakgpu_axiom::enumerate::{EnumConfig, EnumError, WalkStats};
 use weakgpu_axiom::persist;
 use weakgpu_axiom::plan::EvalContext;
 use weakgpu_litmus::LitmusTest;
@@ -120,30 +120,14 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Worker threads (`None` = all cores). Wall-clock only.
     pub parallelism: Option<usize>,
-    /// Judge cache-miss cells through the rf-class pruned enumerator
-    /// ([`weakgpu_axiom::enumerate::EnumConfig::pruning`]) instead of
-    /// the exhaustive stream. Verdicts are bit-identical; the pruned
-    /// and exhaustive arms keep separate verdict-cache entries (the
-    /// cache key covers the enumeration config).
+    /// No-op, kept so existing struct literals still build: every
+    /// cache miss is judged by the one exhaustive walk.
     pub pruning: bool,
-    /// Judge cache-miss cells with bit-plane batch evaluation
-    /// ([`weakgpu_axiom::enumerate::EnumConfig::batching`]): trailing
-    /// sibling groups of 2–64 candidates share one lane-parallel plan
-    /// pass. Composes with [`SweepConfig::pruning`]. Verdicts are
-    /// bit-identical; the batched arms keep their own verdict-cache
-    /// entries.
+    /// No-op, like [`SweepConfig::pruning`].
     pub batching: bool,
-    /// Judge cache-miss cells with incremental overlay-delta evaluation
-    /// ([`weakgpu_axiom::enumerate::EnumConfig::incremental`]): plan
-    /// register state and the per-acyclicity-check topological order
-    /// are pushed and popped along the decision-tree path instead of
-    /// being refilled from scratch at every cut attempt. Implies
-    /// [`SweepConfig::pruning`] (the delta journal only exists on the
-    /// tree walk) and composes with [`SweepConfig::batching`]. Verdicts
-    /// are bit-identical; the incremental arms keep their own
-    /// verdict-cache entries.
+    /// No-op, like [`SweepConfig::pruning`].
     pub incremental: bool,
-    /// Warm-start the verdict cache from this `weakgpu-cache/1` file
+    /// Warm-start the verdict cache from this `weakgpu-cache/2` file
     /// ([`weakgpu_axiom::persist`]) before the run, and write the
     /// updated cache back after it. A missing file starts the run cold
     /// and is created at the end (unless [`SweepConfig::cache_readonly`]
@@ -224,32 +208,18 @@ pub struct CellRecord {
     /// through the model on a verdict-cache miss, in microseconds (0 on
     /// a hit) — attributes sweep wins to skeleton sharing vs caching.
     pub enum_micros: u64,
-    /// Enumeration-tree nodes visited while judging this cell's shape
-    /// on a verdict-cache miss (0 on a hit). Under the exhaustive
-    /// stream this equals the candidate count; under pruning it is the
-    /// forced-class + leaf count.
+    /// Candidate executions judged for this cell's shape on a
+    /// verdict-cache miss (0 on a hit).
     pub classes_visited: u64,
-    /// Candidate executions skipped by forced-verdict subtree cuts on a
-    /// verdict-cache miss (always 0 without `SweepConfig::pruning`).
+    /// Always 0 ([`weakgpu_axiom::WalkStats`]).
     pub candidates_pruned: u64,
-    /// Bit-plane batches formed while judging this cell's shape on a
-    /// verdict-cache miss (always 0 without `SweepConfig::batching`).
+    /// Always 0.
     pub batches_formed: u64,
-    /// Lanes occupied across those batches — `lanes_filled /
-    /// batches_formed` is the cell's mean lane occupancy, the number CI
-    /// artifacts watch to judge how well sibling candidates pack.
+    /// Always 0.
     pub lanes_filled: u64,
-    /// Wall-clock microseconds spent inside the walk's forced-verdict
-    /// cut attempts on a verdict-cache miss (always 0 without
-    /// `SweepConfig::pruning`) — the denominator the incremental delta
-    /// journal attacks.
+    /// Always 0.
     pub cut_attempt_micros: u64,
-    /// Overlay-dependent plan registers filled from scratch while
-    /// judging this cell's shape on a verdict-cache miss. Without
-    /// `SweepConfig::incremental` every cut attempt and leaf refills;
-    /// with it only per-combination baselines count, so this
-    /// counter's collapse is the direct witness that the delta
-    /// journal is engaged.
+    /// Always 0.
     pub registers_refilled: u64,
 }
 
@@ -332,15 +302,9 @@ pub struct CacheStats {
     /// shard handed a warm cache artifact must record a nonzero count
     /// here, or the artifact did nothing.
     pub warm_hits: u64,
-    /// Total wall-clock microseconds the miss path spent inside
-    /// forced-verdict cut attempts (this shard; merge sums shards).
-    /// Always 0 without [`SweepConfig::pruning`].
+    /// Sum of the cells' `cut_attempt_micros` (always 0).
     pub cut_attempt_micros: u64,
-    /// Total plan registers refilled from scratch on the miss path
-    /// (this shard; merge sums shards). Compared against a
-    /// non-incremental run of the same family, the collapse of this
-    /// total is the sweep-level witness that
-    /// [`SweepConfig::incremental`] is doing delta work.
+    /// Sum of the cells' `registers_refilled` (always 0).
     pub registers_refilled: u64,
 }
 
@@ -776,6 +740,33 @@ fn u64_field(v: &Json, key: &str) -> Result<u64, SweepError> {
         .ok_or_else(|| SweepError::Json(format!("missing or non-integer field {key}")))
 }
 
+/// The sweep's verdict cache plus the entry keys of shapes a worker is
+/// judging right now, behind one lock: a miss on a key listed here waits
+/// for its publish instead of judging the shape a second time.
+struct Probes {
+    cache: VerdictCache,
+    /// At most one key per worker, so a scan beats hashing.
+    in_flight: Vec<String>,
+}
+
+/// A worker's claim on one in-flight shape. Dropping it — after the
+/// publish, after a failed judgement, or while unwinding — releases the
+/// key and wakes the waiters, which then hit the published verdict or
+/// claim the shape themselves.
+struct Claim<'a> {
+    probes: &'a Mutex<Probes>,
+    published: &'a Condvar,
+    key: String,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut p = self.probes.lock().unwrap_or_else(PoisonError::into_inner);
+        p.in_flight.retain(|k| *k != self.key);
+        self.published.notify_all();
+    }
+}
+
 /// Runs the sweep. `family` must be the **complete** canonically-ordered
 /// test family (strictly increasing names — `weakgpu_diy::generate`
 /// guarantees this); when `cfg.shard` is set, this function selects the
@@ -840,14 +831,7 @@ where
     }
 
     let model = ptx_model();
-    let enum_cfg = EnumConfig {
-        // Incremental evaluation only exists on the tree walk, so it
-        // drags pruning in with it.
-        pruning: cfg.pruning || cfg.incremental,
-        batching: cfg.batching,
-        incremental: cfg.incremental,
-        ..EnumConfig::default()
-    };
+    let enum_cfg = EnumConfig::default();
     let initial_cache = match &cfg.cache_file {
         Some(path) if path.exists() => {
             persist::load(path).map_err(|e| SweepError::Cache(e.to_string()))?
@@ -860,7 +844,11 @@ where
         }
         _ => VerdictCache::new(),
     };
-    let cache = Mutex::new(initial_cache);
+    let probes = Mutex::new(Probes {
+        cache: initial_cache,
+        in_flight: Vec::new(),
+    });
+    let published = Condvar::new();
     let enum_err: Mutex<Option<(String, EnumError)>> = Mutex::new(None);
     let records: Vec<Mutex<Option<CellRecord>>> = cells.iter().map(|_| Mutex::new(None)).collect();
 
@@ -871,10 +859,11 @@ where
         },
         |ci, report| {
             let (gi, test) = selected[ci / num_chips];
-            // Probe under a short lock; on a miss, enumerate with no lock
-            // held (distinct shapes judge concurrently) and publish the
-            // result. Two chips of one test racing may both enumerate —
-            // first write wins, so `cache.misses >= cache.entries`.
+            // Probe under a short lock; on a miss, claim the shape, judge
+            // it with no lock held (distinct shapes judge concurrently)
+            // and publish the result. A cell whose shape another worker
+            // has claimed waits for that publish and then hits, so each
+            // shape is judged once and `cache.misses == cache.entries`.
             // Each campaign worker thread keeps its own evaluation
             // context, so every miss it judges reuses one relation arena
             // instead of reallocating per candidate execution.
@@ -882,19 +871,29 @@ where
                 static EVAL_CTX: RefCell<EvalContext> = RefCell::new(EvalContext::new());
             }
             let (probed, mut cache_hits, mut cache_misses) = {
-                let mut c = cache.lock().expect("no poisoned locks");
-                (c.lookup(test, &model, &enum_cfg), c.hits(), c.misses())
+                let mut p = probes.lock().expect("no poisoned locks");
+                let probed = loop {
+                    if let Some(v) = p.cache.lookup(test, &model, &enum_cfg) {
+                        break Ok(v);
+                    }
+                    let key = VerdictCache::entry_key(test, &model, &enum_cfg);
+                    if !p.in_flight.contains(&key) {
+                        p.in_flight.push(key.clone());
+                        break Err(Claim {
+                            probes: &probes,
+                            published: &published,
+                            key,
+                        });
+                    }
+                    p = published.wait(p).expect("no poisoned locks");
+                };
+                (probed, p.cache.hits(), p.cache.misses())
             };
             let mut enum_micros = 0u64;
-            let mut classes_visited = 0u64;
-            let mut candidates_pruned = 0u64;
-            let mut batches_formed = 0u64;
-            let mut lanes_filled = 0u64;
-            let mut cut_attempt_micros = 0u64;
-            let mut registers_refilled = 0u64;
+            let mut stats = WalkStats::default();
             let verdict = match probed {
-                Some(v) => v,
-                None => {
+                Ok(v) => v,
+                Err(_claim) => {
                     let t0 = Instant::now();
                     let judged = EVAL_CTX.with(|ctx| {
                         weakgpu_axiom::model_outcomes_counted(
@@ -906,17 +905,12 @@ where
                     });
                     enum_micros = t0.elapsed().as_micros() as u64;
                     match judged {
-                        Ok((v, stats)) => {
-                            (classes_visited, candidates_pruned) =
-                                (stats.classes_visited, stats.candidates_pruned);
-                            (batches_formed, lanes_filled) =
-                                (stats.batches_formed, stats.lanes_filled);
-                            (cut_attempt_micros, registers_refilled) =
-                                (stats.cut_attempt_micros, stats.registers_refilled);
-                            let mut c = cache.lock().expect("no poisoned locks");
-                            let published = c.publish(test, &model, &enum_cfg, v);
-                            (cache_hits, cache_misses) = (c.hits(), c.misses());
-                            published
+                        Ok((v, s)) => {
+                            stats = s;
+                            let mut p = probes.lock().expect("no poisoned locks");
+                            let v = p.cache.publish(test, &model, &enum_cfg, v);
+                            (cache_hits, cache_misses) = (p.cache.hits(), p.cache.misses());
+                            v
                         }
                         Err(e) => {
                             enum_err
@@ -945,12 +939,12 @@ where
                 cache_hits,
                 cache_misses,
                 enum_micros,
-                classes_visited,
-                candidates_pruned,
-                batches_formed,
-                lanes_filled,
-                cut_attempt_micros,
-                registers_refilled,
+                classes_visited: stats.classes_visited,
+                candidates_pruned: stats.candidates_pruned,
+                batches_formed: stats.batches_formed,
+                lanes_filled: stats.lanes_filled,
+                cut_attempt_micros: stats.cut_attempt_micros,
+                registers_refilled: stats.registers_refilled,
             };
             on_cell(&record);
             *records[ci].lock().expect("no poisoned locks") = Some(record);
@@ -1016,7 +1010,7 @@ where
     let enum_micros: u64 = records.iter().map(|r| r.enum_micros).sum();
     let cut_attempt_micros: u64 = records.iter().map(|r| r.cut_attempt_micros).sum();
     let registers_refilled: u64 = records.iter().map(|r| r.registers_refilled).sum();
-    let cache = cache.into_inner().expect("no poisoned locks");
+    let cache = probes.into_inner().expect("no poisoned locks").cache;
     if let Some(path) = &cfg.cache_file {
         if !cfg.cache_readonly {
             persist::save(path, &cache).map_err(|e| SweepError::Cache(e.to_string()))?;
@@ -1246,7 +1240,10 @@ mod tests {
             .to_json()
             .replace(", \"enum_micros\": 120", "")
             .replace(", \"warm_entries\": 2, \"warm_hits\": 1", "")
-            .replace(", \"cut_attempt_micros\": 30, \"registers_refilled\": 9", "");
+            .replace(
+                ", \"cut_attempt_micros\": 30, \"registers_refilled\": 9",
+                "",
+            );
         let parsed = SweepReport::from_json(&legacy).unwrap();
         assert_eq!(parsed.cache.enum_micros, 0);
         assert_eq!(parsed.cache.warm_entries, 0);

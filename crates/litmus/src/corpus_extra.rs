@@ -209,35 +209,6 @@ pub fn r_shape(scope: ThreadScope, fence: Option<FenceScope>) -> LitmusTest {
     .expect("corpus test is valid")
 }
 
-/// `corr-fan` — an oversized coherence shape beyond the paper family:
-/// `writers` threads each store 1 to `x`, and one reader thread issues
-/// `reads` back-to-back loads of `x`. The candidate space is
-/// `(writers+1)^reads · writers!` — exponential in the reader length —
-/// but under a coherent model almost all value patterns embed the
-/// forbidden new-then-old pair, so the pruned enumerator
-/// (`EnumConfig::pruning`) collapses the space by orders of magnitude
-/// while the exhaustive stream blows the candidate budget. The weak
-/// condition is the long-distance coRR pattern: the first load sees a
-/// write, the last load sees the initial state.
-pub fn corr_fan(writers: usize, reads: usize) -> LitmusTest {
-    assert!(writers >= 1 && reads >= 2, "corr-fan needs a fan");
-    let mut b = LitmusTest::builder(format!("corr-fan-{writers}w{reads}r"))
-        .doc("oversized read-fan coherence shape (equivalence-pruning showcase)")
-        .global("x", 0);
-    for _ in 0..writers {
-        b = b.thread([st("x", 1)]);
-    }
-    b = b.thread((1..=reads).map(|i| ld(&format!("r{i}"), "x")));
-    b.scope_tree(ScopeTree::for_scope(ThreadScope::InterCta, writers + 1))
-        .exists(Predicate::reg_eq(writers, "r1", 1).and(Predicate::reg_eq(
-            writers,
-            format!("r{reads}").as_str(),
-            0,
-        )))
-        .build()
-        .expect("corpus test is valid")
-}
-
 /// All extra idioms, unfenced and gl-fenced, at both placements.
 pub fn all_extra() -> Vec<LitmusTest> {
     let mut v = Vec::new();
@@ -291,18 +262,6 @@ mod tests {
                 parser::parse(&printed).unwrap_or_else(|e| panic!("{}: {e}\n{printed}", t.name()));
             assert_eq!(t.threads(), reparsed.threads(), "{}", t.name());
         }
-    }
-
-    #[test]
-    fn corr_fan_shape_and_roundtrip() {
-        let t = corr_fan(2, 4);
-        assert_eq!(t.num_threads(), 3);
-        assert_eq!(t.threads()[2].len(), 4);
-        // Only the first and last reader registers are observed.
-        assert_eq!(t.observed().len(), 2);
-        let printed = t.to_string();
-        let reparsed = parser::parse(&printed).unwrap_or_else(|e| panic!("{e}\n{printed}"));
-        assert_eq!(t.threads(), reparsed.threads());
     }
 
     #[test]

@@ -16,47 +16,33 @@ fn help_exits_zero() {
 }
 
 #[test]
-fn help_documents_the_enumeration_arms() {
-    // The sweep's three judging strategies are part of the advertised
-    // surface; losing one from the help text is a regression.
+fn help_lists_no_walk_flag() {
+    // Verdicts come from one enumeration walk; no flag selects another.
     let out = weakgpu().arg("--help").output().unwrap();
     assert!(out.status.success(), "--help exited {:?}", out.status);
     let text = String::from_utf8(out.stdout).unwrap();
     for flag in ["--pruned", "--batched", "--incremental"] {
-        assert!(text.contains(flag), "help text missing {flag}: {text}");
+        assert!(!text.contains(flag), "help text lists {flag}: {text}");
     }
 }
 
 #[test]
-fn incremental_sweep_streams_delta_counters() {
-    // One tiny shard judged incrementally: exits 0 and the streamed
-    // JSONL carries the delta-evaluation bookkeeping fields.
-    let dir = std::env::temp_dir().join(format!("weakgpu-inc-sweep-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out_path = dir.join("inc.json");
-    let out = weakgpu()
-        .args([
-            "sweep",
-            "--incremental",
-            "--shard",
-            "1/4",
-            "--chips",
-            "titan",
-            "--iterations",
-            "60",
-            "--out",
-        ])
-        .arg(&out_path)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "incremental sweep exited {:?}", out.status);
-    let jsonl = std::fs::read_to_string(out_path.with_extension("jsonl")).unwrap();
-    assert!(jsonl.contains("\"cut_attempt_micros\""), "{jsonl}");
-    assert!(jsonl.contains("\"registers_refilled\""), "{jsonl}");
-    let report = std::fs::read_to_string(&out_path).unwrap();
-    assert!(report.contains("\"cut_attempt_micros\""), "{report}");
-    assert!(report.contains("\"registers_refilled\""), "{report}");
-    std::fs::remove_dir_all(&dir).ok();
+fn sweep_rejects_walk_flags() {
+    // The removed walk flags are unknown arguments: the sweep refuses
+    // to start rather than silently running.
+    for flag in ["--pruned", "--batched", "--incremental"] {
+        let out = weakgpu()
+            .args(["sweep", flag, "--shard", "1/1000", "--iterations", "1"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "sweep {flag} exited 0");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(&format!("sweep: unexpected argument \"{flag}\"")),
+            "{err}"
+        );
+        assert!(out.stdout.is_empty(), "sweep {flag} ran");
+    }
 }
 
 #[test]
@@ -257,7 +243,7 @@ fn serve_answers_a_jsonl_batch_and_persists_its_cache() {
     assert!(
         std::fs::read_to_string(&cache)
             .unwrap()
-            .starts_with("weakgpu-cache/1"),
+            .starts_with("weakgpu-cache/2"),
         "shutdown must flush a versioned cache file"
     );
     // Second daemon warm-starts from the flushed file: same verdicts,
@@ -303,10 +289,10 @@ fn misspelt_flags_get_a_did_you_mean_hint() {
     assert!(err.contains("did you mean \"--builtin\"?"), "{err}");
 
     let out = weakgpu()
-        .args(["sweep", "--bathced", "--family", "small"])
+        .args(["sweep", "--parallelsim", "2", "--family", "small"])
         .output()
         .unwrap();
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("did you mean \"--batched\"?"), "{err}");
+    assert!(err.contains("did you mean \"--parallelism\"?"), "{err}");
 }
