@@ -6,7 +6,8 @@
 //! schema has no floats, but a fractional part still parses), booleans
 //! and null. Unsigned-integer tokens that fit `u64` are kept exact
 //! ([`Json::UInt`]) — seeds use the full 64-bit range, beyond what `f64`
-//! represents — and everything else numeric falls back to `f64`.
+//! represents — and everything else numeric falls back to `f64`; a
+//! number beyond `f64`'s range is an error, not an infinity.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -230,9 +231,12 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Ok(Json::UInt(n));
         }
     }
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    // Overflow parses to an infinity, which no JSON text can spell back.
+    match text.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        Ok(_) => Err(format!("number {text:?} at byte {start} is out of range")),
+        Err(_) => Err(format!("invalid number {text:?} at byte {start}")),
+    }
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -334,6 +338,14 @@ mod tests {
         assert!(parse("true false").is_err());
         assert!(parse("{1: 2}").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn rejects_numbers_beyond_f64() {
+        assert!(parse("1e400").is_err());
+        assert!(parse("-1e400").is_err());
+        assert!(parse(r#"{"id": 1e400}"#).is_err());
+        assert_eq!(parse("1e300").unwrap(), Json::Num(1e300));
     }
 
     #[test]

@@ -23,11 +23,11 @@
 //! A `verdict` response carries `ok`, the resolved `test`/`model` names,
 //! `num_candidates`, `num_allowed`, `condition_witnessed`, the rendered
 //! `allowed_outcomes`, and `cached` (whether the cache answered without
-//! enumerating). Malformed lines and unknown names produce
-//! `{"ok": false, "error": …}` responses — the daemon itself keeps
-//! serving; only I/O failure stops it. `stats` reports the shared
-//! cache's counters; `shutdown` answers then ends the loop, and EOF on
-//! the input is an implicit shutdown. The caller persists the cache
+//! enumerating). Malformed lines, fields of the wrong type and unknown
+//! names produce `{"ok": false, "error": …}` responses — the daemon
+//! itself keeps serving; only I/O failure stops it. `stats` reports the
+//! shared cache's counters; `shutdown` answers then ends the loop, and
+//! EOF on the input is an implicit shutdown. The caller persists the cache
 //! afterwards ([`weakgpu_axiom::persist`]) — that is the flush-on-
 //! graceful-shutdown contract the CLI front end implements.
 //!
@@ -179,11 +179,11 @@ fn answer(
         Some(Json::Bool(b)) => b.to_string(),
         Some(_) => return (error_response("null", "id must be a scalar"), false),
     };
-    match request
-        .get("op")
-        .and_then(Json::as_str)
-        .unwrap_or("verdict")
-    {
+    let op = match str_field(&request, "op") {
+        Ok(op) => op.unwrap_or("verdict"),
+        Err(msg) => return (error_response(&id, &msg), false),
+    };
+    match op {
         "verdict" => (
             verdict_response(&id, &request, cfg, cache, ctx, corpus_index),
             false,
@@ -217,6 +217,19 @@ fn answer(
     }
 }
 
+/// Member `key` of the request as a string, `None` when absent.
+///
+/// # Errors
+///
+/// Names the field when it is present but not a string.
+fn str_field<'a>(request: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
+    match request.get(key) {
+        None => Ok(None),
+        Some(Json::Str(s)) => Ok(Some(s)),
+        Some(_) => Err(format!("{key:?} must be a string")),
+    }
+}
+
 fn error_response(id: &str, message: &str) -> String {
     format!(
         "{{\"id\": {id}, \"ok\": false, \"error\": {}}}",
@@ -236,11 +249,9 @@ fn verdict_response(
         Ok(t) => t,
         Err(msg) => return error_response(id, &msg),
     };
-    let model_name = request
-        .get("model")
-        .and_then(Json::as_str)
-        .unwrap_or(&cfg.default_model);
-    let model = match model_by_name(model_name) {
+    let model = match str_field(request, "model")
+        .and_then(|name| model_by_name(name.unwrap_or(&cfg.default_model)))
+    {
         Ok(m) => m,
         Err(msg) => return error_response(id, &msg),
     };
@@ -285,12 +296,10 @@ fn verdict_response(
 /// `test` as a corpus name (or inline source if it contains a newline
 /// — no test *name* does).
 fn resolve_test(request: &Json, corpus_index: &CorpusIndex) -> Result<LitmusTest, String> {
-    if let Some(src) = request.get("litmus").and_then(Json::as_str) {
+    if let Some(src) = str_field(request, "litmus")? {
         return parse_litmus(src);
     }
-    let name = request
-        .get("test")
-        .and_then(Json::as_str)
+    let name = str_field(request, "test")?
         .ok_or("request needs a \"test\" (corpus name) or \"litmus\" (source) string")?;
     if name.contains('\n') {
         return parse_litmus(name);
@@ -416,6 +425,35 @@ mod tests {
             .contains("ptx"));
         // The daemon survived every error and answered the last request.
         assert_eq!(rs[5].get("ok"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn mistyped_fields_are_rejected_by_name() {
+        let batch = r#"{"id": 1, "test": "sb+inter-CTA", "model": ["tso"]}
+{"id": 2, "op": 7}
+{"id": 3, "litmus": {"src": "x"}, "test": "sb+inter-CTA"}
+{"id": 4, "test": 5}
+"#;
+        let (summary, rs) = run(batch, &ServeConfig::default());
+        assert_eq!((summary.requests, summary.errors), (4, 4));
+        for (r, field) in rs.iter().zip(["model", "op", "litmus", "test"]) {
+            assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{r:?}");
+            let error = r.get("error").unwrap().as_str().unwrap();
+            assert!(error.contains(&format!("\"{field}\"")), "{error}");
+        }
+    }
+
+    #[test]
+    fn an_overflowing_id_is_a_bad_request_not_an_inf_echo() {
+        // Every response line must itself be valid JSON (`run` parses it).
+        let (summary, rs) = run(
+            "{\"id\": 1e400, \"test\": \"mp+inter-CTA\"}\n",
+            &ServeConfig::default(),
+        );
+        assert_eq!(summary.errors, 1);
+        assert!(rs[0].get("id").unwrap().is_null());
+        let error = rs[0].get("error").unwrap().as_str().unwrap();
+        assert!(error.contains("out of range"), "{error}");
     }
 
     #[test]

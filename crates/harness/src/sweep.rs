@@ -15,12 +15,12 @@
 //!   shape, so a [`VerdictCache`] enumerates each shape exactly once (a
 //!   cell whose shape another worker is already judging waits for that
 //!   publish and counts a hit) and answers the other chips' cells from
-//!   the cache (the hot path measured in `BENCH_sweep.json`). Cache
-//!   misses are judged through the model's compiled plan with one
-//!   [`EvalContext`] per worker thread (the cache-miss hot path measured
-//!   in `BENCH_model.json`), composing the two optimisations: the cache
-//!   removes repeat enumerations, the plan makes the remaining ones
-//!   cheap.
+//!   the cache (`perfbench`'s `cache.probe_s` and `cache.hits` on the
+//!   `sweep-paper` workload). Cache misses are judged through the
+//!   model's compiled plan with one [`EvalContext`] per worker thread
+//!   (`enumerate.stream_s` and `plan.ns_per_verdict`), composing the two
+//!   optimisations: the cache removes repeat enumerations, the plan
+//!   makes the remaining ones cheap.
 //! * **Machine-readable reports** — each completed cell streams a JSONL
 //!   [`CellRecord`]; the aggregate [`SweepReport`] serialises to JSON,
 //!   parses back, and [`SweepReport::merge`]s across shards into totals

@@ -14,7 +14,7 @@
 //!   exhibits (Sec. 6);
 //! * [`native::NativePtxModel`] — the PTX model implemented directly
 //!   against the relation algebra (no `.cat` interpretation), used to
-//!   cross-check the interpreter and as a performance-ablation baseline.
+//!   cross-check the interpreter (and `weakgpu check --model ptx-native`).
 //!
 //! ```
 //! use weakgpu_models::ptx_model;

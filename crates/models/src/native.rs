@@ -6,8 +6,8 @@
 //! 1. **Cross-validation**: tests assert it agrees with the `.cat`
 //!    interpretation on every candidate execution of the corpus, guarding
 //!    both the interpreter and the transliteration of Figs. 15–16.
-//! 2. **Ablation**: the bench suite compares its evaluation cost against
-//!    the interpreted model (DESIGN.md §5.3).
+//! 2. **Reference model**: `weakgpu check --model ptx-native` judges a
+//!    test with it, and `streaming_diff.rs` runs it through both walks.
 
 use weakgpu_axiom::relation::Relation;
 use weakgpu_axiom::{Execution, Model, RmwAtomicity};

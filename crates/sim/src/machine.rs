@@ -250,8 +250,9 @@ impl Simulator {
         self.run_once_with_weights(&weights, inc.thread_rand, rng)
     }
 
-    /// Runs the test once with explicit weights (used by the harness,
-    /// which resolves weights once per batch).
+    /// Runs the test once with explicit weights: the reference that
+    /// tests compare [`Simulator::run_batch`] against (the harness
+    /// itself runs batches).
     ///
     /// Allocates a fresh [`MachineState`] per call; hot loops should hold
     /// a state and use [`Simulator::run_batch`] (or

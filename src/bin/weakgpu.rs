@@ -8,7 +8,7 @@
 //! weakgpu sweep [--family small|paper] [--shard K/N] [--out FILE.json] [--chips ..] [..]
 //! weakgpu sweep --merge a.json b.json ... [--out FILE.json]
 //! weakgpu serve [--cache-file FILE.wgc] [--cache-readonly] [--model NAME]
-//! weakgpu check <file.litmus> [--model ptx|sc|tso|rmo|operational]
+//! weakgpu check <file.litmus> [--model ptx|ptx-no-llh|sc|tso|rmo|operational|ptx-native]
 //! weakgpu check <file ...> [--builtin]
 //! weakgpu show <file.litmus> [--dot]
 //! weakgpu corpus [NAME]
@@ -31,6 +31,7 @@ use weakgpu::front::{has_errors, render_all, Diagnostic, SourceFile};
 use weakgpu::harness::campaign::{run_campaign_with, CampaignConfig, CellSpec};
 use weakgpu::harness::report::ObsTable;
 use weakgpu::harness::runner::{run_test, RunConfig};
+use weakgpu::harness::serve::{model_by_name as serve_model, MODEL_NAMES};
 use weakgpu::harness::sweep::{run_sweep_with, Shard, SweepConfig, SweepReport};
 use weakgpu::litmus::{corpus, corpus_extra, parser, LitmusTest};
 use weakgpu::models;
@@ -44,7 +45,7 @@ const USAGE: &str = "usage:
                 [--cache-file FILE.wgc] [--cache-readonly]
   weakgpu sweep --merge FILE.json FILE.json ... [--out FILE.json]
   weakgpu serve [--cache-file FILE.wgc] [--cache-readonly] [--model NAME]
-  weakgpu check <file.litmus> [--model ptx|sc|tso|rmo|operational]
+  weakgpu check <file.litmus> [--model ptx|ptx-no-llh|sc|tso|rmo|operational|ptx-native]
   weakgpu check <file ...> [--builtin]
   weakgpu show <file.litmus> [--dot]
   weakgpu corpus [NAME]
@@ -164,16 +165,20 @@ fn chip_by_short(short: &str) -> Result<Chip, String> {
         })
 }
 
+/// Resolves `check --model`: the serving registry plus the CLI-only
+/// `ptx-native` (the hand-written PTX model).
 fn model_by_name(name: &str) -> Result<Box<dyn Model>, String> {
-    Ok(match name {
-        "ptx" => Box::new(models::ptx_model()),
-        "ptx-native" => Box::new(models::native::NativePtxModel::new()),
-        "sc" => Box::new(models::sc_model()),
-        "tso" => Box::new(models::tso_model()),
-        "rmo" => Box::new(models::rmo_model()),
-        "operational" => Box::new(models::operational_baseline()),
-        other => return Err(format!("unknown model {other:?}")),
-    })
+    if name == "ptx-native" {
+        return Ok(Box::new(models::native::NativePtxModel::new()));
+    }
+    serve_model(name)
+        .map(|m| Box::new(m) as Box<dyn Model>)
+        .map_err(|_| {
+            format!(
+                "unknown model {name:?} (expected one of {}, ptx-native)",
+                MODEL_NAMES.join(", ")
+            )
+        })
 }
 
 fn take_opt(args: &mut Vec<String>, flag: &str) -> Option<String> {
@@ -527,7 +532,7 @@ const SERVE_FLAGS: &[&str] = &["--cache-file", "--cache-readonly", "--model"];
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use weakgpu::axiom::cache::VerdictCache;
     use weakgpu::axiom::persist;
-    use weakgpu::harness::serve::{model_by_name as serve_model, serve, ServeConfig};
+    use weakgpu::harness::serve::{serve, ServeConfig};
 
     let mut args = args.to_vec();
     let cache_file = take_opt(&mut args, "--cache-file").map(std::path::PathBuf::from);

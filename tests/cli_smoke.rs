@@ -3,6 +3,8 @@
 
 use std::process::Command;
 
+use weakgpu::harness::serve::MODEL_NAMES;
+
 fn weakgpu() -> Command {
     Command::new(env!("CARGO_BIN_EXE_weakgpu"))
 }
@@ -66,6 +68,41 @@ fn check_runs_on_a_corpus_file() {
         text.contains("Sometimes (allowed)"),
         "sb must be PTX-allowed: {text}"
     );
+}
+
+#[test]
+fn check_accepts_every_serve_model() {
+    // `check --model` and `serve` resolve names through one registry.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/litmus/sb.litmus");
+    for name in MODEL_NAMES {
+        let out = weakgpu()
+            .args(["check", path, "--model", name])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "check --model {name} exited {:?}: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
+fn unknown_model_names_the_vocabulary() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/litmus/sb.litmus");
+    let out = weakgpu()
+        .args(["check", path, "--model", "bogus"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "check --model bogus exited 0");
+    let err = String::from_utf8(out.stderr).unwrap();
+    // The error line itself, not the usage text printed after it.
+    let first = err.lines().next().unwrap_or_default();
+    assert!(first.contains("unknown model \"bogus\""), "{err}");
+    for name in MODEL_NAMES.iter().chain(&["ptx-native"]) {
+        assert!(first.contains(name), "error omits {name}: {first}");
+    }
 }
 
 #[test]
