@@ -10,11 +10,18 @@
 //! reusable [`MachineState`] per simulator, so iterations are amortised:
 //! no per-run allocation, no per-run `FinalExpr` cloning.
 //!
+//! A chunk records raw observation vectors ([`ObsCounts`]) and merges
+//! them into its cell's counts. Outcomes are built once per cell, not
+//! once per chunk: when a cell's last chunk lands, each distinct
+//! observation vector becomes one [`Outcome`] and one histogram entry.
+//!
 //! Determinism: each chunk's RNG stream is a pure function of the cell's
-//! seed and the chunk index, and chunk histograms are merged by
-//! commutative addition — so a campaign's reports are bit-identical for a
-//! fixed seed regardless of worker count, scheduling, or host machine,
-//! and identical to running each cell alone through `run_test`.
+//! seed and the chunk index, and chunk counts are merged by commutative
+//! addition — so a campaign's reports are bit-identical for a fixed seed
+//! regardless of worker count, scheduling, or host machine, and identical
+//! to running each cell alone through `run_test`.
+//!
+//! [`Outcome`]: weakgpu_litmus::Outcome
 //!
 //! Progress callbacks run on the worker threads. A callback that judges
 //! cells against an axiomatic model (as the sweep's does) should keep
@@ -147,9 +154,10 @@ struct WorkItem {
     seed: u64,
 }
 
-/// Per-cell accumulation shared between workers.
+/// Per-cell accumulation shared between workers: the raw observation
+/// counts of the cell's finished chunks.
 struct CellAcc {
-    histogram: Mutex<Histogram>,
+    counts: Mutex<ObsCounts>,
     remaining: AtomicUsize,
 }
 
@@ -231,7 +239,7 @@ where
                 });
             }
             CellAcc {
-                histogram: Mutex::new(Histogram::new()),
+                counts: Mutex::new(ObsCounts::new()),
                 remaining: AtomicUsize::new(sizes.len()),
             }
         })
@@ -242,7 +250,7 @@ where
     // Zero-iteration cells have no chunks; complete them up front.
     for (ci, cell) in cells.iter().enumerate() {
         if cell.iterations == 0 {
-            let report = finish_cell(cell, Histogram::new());
+            let report = finish_cell(cell, &sims[sim_of_cell[ci]], &ObsCounts::new());
             progress(ci, &report);
             *results[ci].lock().expect("no poisoned locks") = Some(report);
         }
@@ -301,16 +309,11 @@ where
                     }
 
                     let acc = &accs[item.cell];
-                    {
-                        let mut h = acc.histogram.lock().expect("no poisoned locks");
-                        for (obs, n) in counts.iter() {
-                            h.add(sim.outcome_from_obs(obs), n);
-                        }
-                    }
+                    acc.counts.lock().expect("no poisoned locks").merge(&counts);
                     if acc.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        let histogram =
-                            std::mem::take(&mut *acc.histogram.lock().expect("no poisoned locks"));
-                        let report = finish_cell(cell, histogram);
+                        let cell_counts =
+                            std::mem::take(&mut *acc.counts.lock().expect("no poisoned locks"));
+                        let report = finish_cell(cell, sim, &cell_counts);
                         progress(item.cell, &report);
                         *results[item.cell].lock().expect("no poisoned locks") = Some(report);
                     }
@@ -332,7 +335,13 @@ where
         .collect())
 }
 
-fn finish_cell(cell: &CellSpec, histogram: Histogram) -> TestReport {
+/// Builds a finished cell's report: one outcome per distinct
+/// observation vector.
+fn finish_cell(cell: &CellSpec, sim: &Simulator, counts: &ObsCounts) -> TestReport {
+    let mut histogram = Histogram::new();
+    for (obs, n) in counts.iter() {
+        histogram.add(sim.outcome_from_obs(obs), n);
+    }
     let witnesses = histogram.witnesses(cell.test.cond());
     TestReport {
         test: cell.test.name().to_owned(),

@@ -19,7 +19,7 @@
 //! the paper's model deliberately leaves out of scope (Sec. 5.5), matching
 //! the fence-immune `mp-L1`/`coRR-L2-L1` results of Figs. 3 and 4.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
 use std::fmt;
 
 use rand::rngs::SmallRng;
@@ -109,11 +109,67 @@ struct Slot {
     delay: u8,
 }
 
+/// A thread's pending window: up to [`WINDOW`] slots, oldest first, held
+/// inline so issuing and performing never touch the heap.
+#[derive(Clone, Copy, Debug)]
+struct Window {
+    slots: [Slot; WINDOW],
+    len: usize,
+}
+
+impl Window {
+    const EMPTY: Window = Window {
+        slots: [Slot {
+            op: Pending::Fence {
+                scope: FenceScope::Cta,
+                leaked: false,
+            },
+            delay: 0,
+        }; WINDOW],
+        len: 0,
+    };
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The pending slots, oldest first.
+    fn slots(&self) -> &[Slot] {
+        &self.slots[..self.len]
+    }
+
+    fn slots_mut(&mut self) -> &mut [Slot] {
+        &mut self.slots[..self.len]
+    }
+
+    /// Appends a newly issued op (the caller checked the window has room).
+    fn push(&mut self, op: Pending) {
+        self.slots[self.len] = Slot { op, delay: 0 };
+        self.len += 1;
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Removes slot `idx`, shifting the younger slots down in place.
+    fn remove(&mut self, idx: usize) -> Slot {
+        let slot = self.slots[idx];
+        self.slots.copy_within(idx + 1..self.len, idx);
+        self.len -= 1;
+        slot
+    }
+}
+
 #[derive(Clone, Debug)]
 struct ThreadCtx {
     pc: usize,
     regs: Vec<Option<SimValue>>,
-    queue: VecDeque<Slot>,
+    queue: Window,
 }
 
 impl ThreadCtx {
@@ -132,15 +188,20 @@ pub struct MachineState {
     nlocs: usize,
     /// SM hosting each CTA this run.
     sm_of_cta: Vec<usize>,
+    /// The distinct SMs in `sm_of_cta`: the only SMs whose L1 can hold a
+    /// line this run.
+    sms: Vec<usize>,
     /// The L2 point of coherence, indexed by location.
     l2: Vec<i64>,
     /// Per-CTA shared memory, flattened `cta * nlocs + loc`.
     shared: Vec<i64>,
-    /// Per-SM L1 lines, flattened `sm * nlocs + loc`.
+    /// Per-SM L1 lines, flattened `sm * nlocs + loc`. Lines outside the
+    /// SMs in `sms` are always empty.
     l1: Vec<Option<L1Line>>,
     /// Per-thread execution contexts.
     threads: Vec<ThreadCtx>,
-    /// Scheduler scratch: indices of unfinished threads.
+    /// Unfinished threads in ascending order: built once per run, a
+    /// thread leaves when it finishes.
     active: Vec<usize>,
     /// Observed values of the last completed run, in the compiled
     /// program's `observed` order.
@@ -160,9 +221,20 @@ impl MachineState {
 /// (`MachineState::observed`) without materialising an [`Outcome`] — and
 /// its per-expression `FinalExpr` clones — per iteration. Convert each
 /// distinct key once at the end via [`Simulator::outcome_from_obs`].
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+///
+/// Keys share one length (the stride, fixed by the first observation
+/// after [`ObsCounts::clear`]) and live in one flat buffer, kept in
+/// lexicographic order; a repeat of the last key hit skips the search.
+#[derive(Clone, Debug, Default)]
 pub struct ObsCounts {
-    counts: std::collections::BTreeMap<Vec<i64>, u64>,
+    /// Length of every key.
+    stride: usize,
+    /// Distinct keys in ascending order, key `i` at `i * stride`.
+    keys: Vec<i64>,
+    /// `counts[i]` is the count of key `i`.
+    counts: Vec<u64>,
+    /// Index of the key hit last.
+    last: usize,
 }
 
 impl ObsCounts {
@@ -171,24 +243,55 @@ impl ObsCounts {
         ObsCounts::default()
     }
 
-    /// Records one observation vector. Allocates only on the first
-    /// occurrence of a distinct vector.
+    /// Records one observation vector.
     pub fn record(&mut self, obs: &[i64]) {
-        if let Some(n) = self.counts.get_mut(obs) {
-            *n += 1;
-        } else {
-            self.counts.insert(obs.to_vec(), 1);
+        self.add(obs, 1);
+    }
+
+    /// Records `n` observations of one vector at once. Allocates only
+    /// when the buffers grow.
+    ///
+    /// # Panics
+    ///
+    /// If `obs` differs in length from the vectors already recorded.
+    pub fn add(&mut self, obs: &[i64], n: u64) {
+        if self.counts.is_empty() {
+            self.stride = obs.len();
+        }
+        assert_eq!(obs.len(), self.stride, "observation vector length");
+        if self.last < self.counts.len() && self.key(self.last) == obs {
+            self.counts[self.last] += n;
+            return;
+        }
+        match self.search(obs) {
+            Ok(i) => {
+                self.counts[i] += n;
+                self.last = i;
+            }
+            Err(i) => {
+                let at = i * self.stride;
+                self.keys.splice(at..at, obs.iter().copied());
+                self.counts.insert(i, n);
+                self.last = i;
+            }
         }
     }
 
-    /// Iterates `(observation vector, count)` in canonical order.
+    /// Adds every count of `other` into this collector.
+    pub fn merge(&mut self, other: &ObsCounts) {
+        for (obs, n) in other.iter() {
+            self.add(obs, n);
+        }
+    }
+
+    /// Iterates `(observation vector, count)` in lexicographic key order.
     pub fn iter(&self) -> impl Iterator<Item = (&[i64], u64)> {
-        self.counts.iter().map(|(k, n)| (k.as_slice(), *n))
+        (0..self.counts.len()).map(|i| (self.key(i), self.counts[i]))
     }
 
     /// Total recorded runs.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
     /// Number of distinct observation vectors.
@@ -196,11 +299,41 @@ impl ObsCounts {
         self.counts.len()
     }
 
-    /// Drops all recorded counts, keeping the map's allocation strategy.
+    /// Drops all recorded counts, keeping the buffers for reuse.
     pub fn clear(&mut self) {
+        self.keys.clear();
         self.counts.clear();
+        self.last = 0;
+    }
+
+    fn key(&self, i: usize) -> &[i64] {
+        &self.keys[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// Binary search for `obs`: `Ok(index)` if present, else
+    /// `Err(insertion index)`.
+    fn search(&self, obs: &[i64]) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.counts.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.key(mid).cmp(obs) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
     }
 }
+
+impl PartialEq for ObsCounts {
+    /// Equal when they hold the same counts, however they were recorded.
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for ObsCounts {}
 
 /// A compiled litmus test bound to a chip, ready to run.
 #[derive(Clone, Debug)]
@@ -210,6 +343,12 @@ pub struct Simulator {
     /// Owning CTA of each location's shared-memory instance (meaningful
     /// for `Region::Shared` locations only), precomputed at compile time.
     shared_owner: Vec<usize>,
+    /// Initial L2 image, indexed by location.
+    l2_init: Vec<i64>,
+    /// Initial per-CTA shared-memory image, flattened `cta * nlocs + loc`.
+    shared_init: Vec<i64>,
+    /// Initial register file of each thread.
+    reg_init: Vec<Vec<Option<SimValue>>>,
 }
 
 impl Simulator {
@@ -223,10 +362,20 @@ impl Simulator {
         let shared_owner = (0..program.locs.len() as u32)
             .map(|l| shared_owner_cta(&program, l))
             .collect();
+        let l2_init: Vec<i64> = program.locs.iter().map(|l| l.init).collect();
+        let shared_init = l2_init.repeat(program.num_ctas);
+        let reg_init = program
+            .reg_init
+            .iter()
+            .map(|inits| inits.iter().map(|v| Some(*v)).collect())
+            .collect();
         Ok(Simulator {
             program,
             chip,
             shared_owner,
+            l2_init,
+            shared_init,
+            reg_init,
         })
     }
 
@@ -280,16 +429,17 @@ impl Simulator {
         MachineState {
             nlocs,
             sm_of_cta: Vec::with_capacity(p.num_ctas),
-            l2: Vec::with_capacity(nlocs),
-            shared: Vec::with_capacity(p.num_ctas * nlocs),
-            l1: Vec::with_capacity(num_sms * nlocs),
-            threads: p
+            sms: Vec::with_capacity(p.num_ctas),
+            l2: self.l2_init.clone(),
+            shared: self.shared_init.clone(),
+            l1: vec![None; num_sms * nlocs],
+            threads: self
                 .reg_init
                 .iter()
-                .map(|inits| ThreadCtx {
+                .map(|regs| ThreadCtx {
                     pc: 0,
-                    regs: inits.iter().map(|v| Some(*v)).collect(),
-                    queue: VecDeque::with_capacity(WINDOW),
+                    regs: regs.clone(),
+                    queue: Window::EMPTY,
                 })
                 .collect(),
             active: Vec::with_capacity(p.threads.len()),
@@ -297,13 +447,18 @@ impl Simulator {
         }
     }
 
-    /// Resets `st` to a fresh run: SM placement, memory images, L1
-    /// preload and thread contexts. Consumes the same RNG draws, in the
+    /// Resets `st` to a fresh run: L1 lines, SM placement, memory images,
+    /// L1 preload and thread contexts. Consumes the same RNG draws, in the
     /// same order, as the historical allocate-per-run path.
     fn reset(&self, w: &RunWeights, thread_rand: bool, rng: &mut SmallRng, st: &mut MachineState) {
         let p = &self.program;
         let profile = self.chip.profile();
         let nlocs = st.nlocs;
+
+        // Only the last run's SMs can hold L1 lines.
+        for &sm in &st.sms {
+            st.l1[sm * nlocs..(sm + 1) * nlocs].fill(None);
+        }
 
         // SM placement: one SM per CTA by default; thread randomisation
         // scatters CTAs over the chip (they may then collide on an SM,
@@ -317,16 +472,16 @@ impl Simulator {
                 c % profile.num_sms
             }
         }));
+        st.sms.clear();
+        for &sm in &st.sm_of_cta {
+            if !st.sms.contains(&sm) {
+                st.sms.push(sm);
+            }
+        }
 
         // Memory.
-        st.l2.clear();
-        st.l2.extend(p.locs.iter().map(|l| l.init));
-        st.shared.clear();
-        for _ in 0..p.num_ctas {
-            st.shared.extend(p.locs.iter().map(|l| l.init));
-        }
-        st.l1.clear();
-        st.l1.resize(profile.num_sms * nlocs, None);
+        st.l2.copy_from_slice(&self.l2_init);
+        st.shared.copy_from_slice(&self.shared_init);
         if w.l1_preload > 0.0 {
             for sm in st.sm_of_cta.iter().copied() {
                 for (i, loc) in p.locs.iter().enumerate() {
@@ -341,11 +496,10 @@ impl Simulator {
             }
         }
 
-        for (ctx, inits) in st.threads.iter_mut().zip(&p.reg_init) {
+        for (ctx, regs) in st.threads.iter_mut().zip(&self.reg_init) {
             ctx.pc = 0;
             ctx.queue.clear();
-            ctx.regs.clear();
-            ctx.regs.extend(inits.iter().map(|v| Some(*v)));
+            ctx.regs.copy_from_slice(regs);
         }
     }
 
@@ -365,22 +519,17 @@ impl Simulator {
         let p = &self.program;
         self.reset(w, thread_rand, rng, st);
 
+        st.active.clear();
+        st.active
+            .extend((0..st.threads.len()).filter(|&t| !st.threads[t].done(p.threads[t].len())));
         let mut steps = 0usize;
-        loop {
-            st.active.clear();
-            for t in 0..st.threads.len() {
-                if !st.threads[t].done(p.threads[t].len()) {
-                    st.active.push(t);
-                }
-            }
-            if st.active.is_empty() {
-                break;
-            }
+        while !st.active.is_empty() {
             steps += 1;
             if steps > MAX_STEPS {
                 return Err(RunError::StepLimit);
             }
-            let t = st.active[rng.random_range(0..st.active.len())];
+            let ai = rng.random_range(0..st.active.len());
+            let t = st.active[ai];
             let (can_issue, stalled) = self.issue_status(t, &st.threads[t]);
             let can_perform = !st.threads[t].queue.is_empty();
             let do_issue = match (can_issue, can_perform) {
@@ -399,6 +548,10 @@ impl Simulator {
                 self.issue(t, &mut st.threads, w, rng)?;
             } else {
                 self.perform(t, st, w, rng);
+            }
+            // A finished thread never issues or performs again.
+            if st.threads[t].done(p.threads[t].len()) {
+                st.active.remove(ai);
             }
         }
 
@@ -586,30 +739,21 @@ impl Simulator {
                     && self.program.spans_ctas
                     && w.cta_fence_leak > 0.0
                     && rng.random_bool(w.cta_fence_leak);
-                ctx.queue.push_back(Slot {
-                    op: Pending::Fence { scope, leaked },
-                    delay: 0,
-                });
+                ctx.queue.push(Pending::Fence { scope, leaked });
                 ctx.pc += 1;
             }
             SimOp::Ld {
                 dst, addr, cache, ..
             } => {
                 let loc = self.resolve_loc(addr, ctx, t)?;
-                ctx.queue.push_back(Slot {
-                    op: Pending::Load { loc, dst, cache },
-                    delay: 0,
-                });
+                ctx.queue.push(Pending::Load { loc, dst, cache });
                 ctx.regs[dst as usize] = None;
                 ctx.pc += 1;
             }
             SimOp::St { addr, src, .. } => {
                 let loc = self.resolve_loc(addr, ctx, t)?;
                 let value = self.eval_int(src, ctx);
-                ctx.queue.push_back(Slot {
-                    op: Pending::Store { loc, value },
-                    delay: 0,
-                });
+                ctx.queue.push(Pending::Store { loc, value });
                 ctx.pc += 1;
             }
             SimOp::Cas {
@@ -623,32 +767,23 @@ impl Simulator {
                     expected: self.eval_int(expected, ctx),
                     desired: self.eval_int(desired, ctx),
                 };
-                ctx.queue.push_back(Slot {
-                    op: Pending::Rmw { loc, dst, rmw },
-                    delay: 0,
-                });
+                ctx.queue.push(Pending::Rmw { loc, dst, rmw });
                 ctx.regs[dst as usize] = None;
                 ctx.pc += 1;
             }
             SimOp::Exch { dst, addr, src } => {
                 let loc = self.resolve_loc(addr, ctx, t)?;
                 let rmw = RmwOp::Exch(self.eval_int(src, ctx));
-                ctx.queue.push_back(Slot {
-                    op: Pending::Rmw { loc, dst, rmw },
-                    delay: 0,
-                });
+                ctx.queue.push(Pending::Rmw { loc, dst, rmw });
                 ctx.regs[dst as usize] = None;
                 ctx.pc += 1;
             }
             SimOp::Inc { dst, addr } => {
                 let loc = self.resolve_loc(addr, ctx, t)?;
-                ctx.queue.push_back(Slot {
-                    op: Pending::Rmw {
-                        loc,
-                        dst,
-                        rmw: RmwOp::Inc,
-                    },
-                    delay: 0,
+                ctx.queue.push(Pending::Rmw {
+                    loc,
+                    dst,
+                    rmw: RmwOp::Inc,
                 });
                 ctx.regs[dst as usize] = None;
                 ctx.pc += 1;
@@ -733,7 +868,7 @@ impl Simulator {
 
         // Choose which queue entry performs.
         let idx = {
-            let queue = &st.threads[t].queue;
+            let queue = st.threads[t].queue.slots();
             let mut chosen = 0;
             for j in 1..queue.len() {
                 let mut p = 1.0;
@@ -759,35 +894,27 @@ impl Simulator {
             // Hold the bypassed ops back so the reordering window stays
             // open for other threads to observe.
             let extra = rng.random_range(24..=64);
-            for i in 0..idx {
-                let d = &mut st.threads[t].queue[i].delay;
-                *d = (*d).max(extra);
+            for slot in &mut st.threads[t].queue.slots_mut()[..idx] {
+                slot.delay = slot.delay.max(extra);
             }
-        } else if st.threads[t].queue[0].delay > 0 {
+        } else if st.threads[t].queue.slots()[0].delay > 0 {
             // A delayed front op skips this perform attempt.
-            st.threads[t].queue[0].delay -= 1;
+            st.threads[t].queue.slots_mut()[0].delay -= 1;
             return;
         }
 
         // Forwarding source for a bypassing load: the newest earlier
         // pending same-location store.
-        let forward: Option<i64> = match st.threads[t].queue[idx].op {
-            Pending::Load { loc, .. } => {
-                (0..idx)
-                    .rev()
-                    .find_map(|i| match st.threads[t].queue[i].op {
-                        Pending::Store { loc: l, value } if l == loc => Some(value),
-                        _ => None,
-                    })
-            }
+        let queue = st.threads[t].queue.slots();
+        let forward: Option<i64> = match queue[idx].op {
+            Pending::Load { loc, .. } => queue[..idx].iter().rev().find_map(|s| match s.op {
+                Pending::Store { loc: l, value } if l == loc => Some(value),
+                _ => None,
+            }),
             _ => None,
         };
 
-        let op = st.threads[t]
-            .queue
-            .remove(idx)
-            .expect("index chosen from queue")
-            .op;
+        let op = st.threads[t].queue.remove(idx).op;
 
         match op {
             Pending::Fence { scope, leaked } => {
@@ -810,11 +937,7 @@ impl Simulator {
                         // Fermi-style write-around: `.cg` stores bypass the
                         // L1, leaving any present line — including the
                         // issuing SM's own — stale.
-                        for sml1 in st.l1.chunks_mut(nlocs) {
-                            if let Some(line) = &mut sml1[li] {
-                                line.stale = true;
-                            }
-                        }
+                        mark_stale(&mut st.l1, &st.sms, nlocs, li);
                     }
                 }
             }
@@ -890,15 +1013,20 @@ impl Simulator {
                     } else {
                         st.l2[li] = n;
                         // Atomics act at the L2; present L1 lines go stale.
-                        for sml1 in st.l1.chunks_mut(nlocs) {
-                            if let Some(line) = &mut sml1[li] {
-                                line.stale = true;
-                            }
-                        }
+                        mark_stale(&mut st.l1, &st.sms, nlocs, li);
                     }
                 }
                 st.threads[t].regs[dst as usize] = Some(SimValue::Int(old));
             }
+        }
+    }
+}
+
+/// Marks location `li`'s line stale in every L1 of `sms` that holds one.
+fn mark_stale(l1: &mut [Option<L1Line>], sms: &[usize], nlocs: usize, li: usize) {
+    for &sm in sms {
+        if let Some(line) = &mut l1[sm * nlocs + li] {
+            line.stale = true;
         }
     }
 }
@@ -962,6 +1090,107 @@ pub fn count_witnesses(
 mod tests {
     use super::*;
     use weakgpu_litmus::{corpus, ThreadScope};
+
+    /// Every key of `counts`, with its count, in iteration order.
+    fn entries(counts: &ObsCounts) -> Vec<(Vec<i64>, u64)> {
+        counts.iter().map(|(k, n)| (k.to_vec(), n)).collect()
+    }
+
+    #[test]
+    fn obs_counts_iterate_in_sorted_key_order() {
+        let keys: [&[i64]; 6] = [&[2, 0], &[0, 1], &[1, -1], &[0, 0], &[1, -1], &[-3, 9]];
+        let mut counts = ObsCounts::new();
+        for k in keys {
+            counts.record(k);
+        }
+        let mut want: std::collections::BTreeMap<Vec<i64>, u64> = Default::default();
+        for k in keys {
+            *want.entry(k.to_vec()).or_insert(0) += 1;
+        }
+        assert_eq!(entries(&counts), want.into_iter().collect::<Vec<_>>());
+        assert_eq!(counts.total(), 6);
+        assert_eq!(counts.distinct(), 5);
+    }
+
+    #[test]
+    fn obs_counts_merge_equals_recording_one_by_one() {
+        let a: [&[i64]; 4] = [&[1, 1, 0], &[0, 0, 0], &[1, 1, 0], &[5, 0, 2]];
+        let b: [&[i64]; 4] = [&[0, 0, 0], &[9, 9, 9], &[1, 1, 0], &[-1, 0, 0]];
+        let (mut left, mut right, mut all) = (ObsCounts::new(), ObsCounts::new(), ObsCounts::new());
+        for k in a {
+            left.record(k);
+            all.record(k);
+        }
+        for k in b {
+            right.record(k);
+            all.record(k);
+        }
+        left.merge(&right);
+        assert_eq!(left, all);
+        assert_eq!(entries(&left), entries(&all));
+        assert_eq!(left.total(), 8);
+        // Merging into an empty collector copies.
+        let mut empty = ObsCounts::new();
+        empty.merge(&all);
+        assert_eq!(entries(&empty), entries(&all));
+        // `add` is `n` records at once.
+        let mut added = ObsCounts::new();
+        added.add(&[4, 4, 4], 3);
+        let mut recorded = ObsCounts::new();
+        for _ in 0..3 {
+            recorded.record(&[4, 4, 4]);
+        }
+        assert_eq!(added, recorded);
+    }
+
+    #[test]
+    fn obs_counts_clear_allows_a_new_stride() {
+        // The campaign reuses one collector across simulators whose
+        // observation vectors differ in length.
+        let mut counts = ObsCounts::new();
+        counts.record(&[3, 1, 4]);
+        counts.record(&[1, 5, 9]);
+        counts.clear();
+        assert_eq!(counts.distinct(), 0);
+        assert_eq!(counts.total(), 0);
+        counts.record(&[2, 7]);
+        counts.record(&[1, 8]);
+        counts.record(&[2, 7]);
+        assert_eq!(entries(&counts), vec![(vec![1, 8], 1), (vec![2, 7], 2)]);
+        counts.clear();
+        counts.record(&[6, 6, 6, 6]);
+        assert_eq!(entries(&counts), vec![(vec![6, 6, 6, 6], 1)]);
+    }
+
+    #[test]
+    fn obs_counts_accept_empty_observations() {
+        let mut counts = ObsCounts::new();
+        counts.record(&[]);
+        counts.record(&[]);
+        counts.add(&[], 5);
+        assert_eq!(entries(&counts), vec![(vec![], 7)]);
+        let mut other = ObsCounts::new();
+        other.merge(&counts);
+        assert_eq!(other, counts);
+    }
+
+    #[test]
+    fn obs_counts_equality_ignores_insertion_order() {
+        let keys: [&[i64]; 4] = [&[0, 1], &[1, 0], &[1, 1], &[0, 1]];
+        let (mut fwd, mut rev) = (ObsCounts::new(), ObsCounts::new());
+        for k in keys {
+            fwd.record(k);
+        }
+        for k in keys.iter().rev() {
+            rev.record(k);
+        }
+        assert_eq!(fwd, rev);
+        rev.record(&[1, 1]);
+        assert_ne!(fwd, rev);
+        // Emptied collectors are equal whatever they held before.
+        fwd.clear();
+        assert_eq!(fwd, ObsCounts::new());
+    }
 
     fn witnesses(
         test: &weakgpu_litmus::LitmusTest,
@@ -1153,12 +1382,11 @@ mod tests {
         assert!(hits > 100, "mp-volatile must be weak on Fermi: {hits}");
     }
 
-    #[test]
-    fn spin_lock_kernel_terminates() {
+    /// A thread spinning on a mutex that another thread releases.
+    fn spin_lock() -> LitmusTest {
         use weakgpu_litmus::build::*;
-        use weakgpu_litmus::{LitmusTest, Predicate};
-        // A thread spinning on a mutex that another thread releases.
-        let test = LitmusTest::builder("spin")
+        use weakgpu_litmus::Predicate;
+        LitmusTest::builder("spin")
             .global("m", 1)
             .global("x", 0)
             .thread([st("x", 1), exch("r0", "m", 0)])
@@ -1172,8 +1400,12 @@ mod tests {
             .scope(ThreadScope::InterCta)
             .exists(Predicate::reg_eq(1, "r1", 0).and(Predicate::reg_eq(1, "r3", 1)))
             .build()
-            .unwrap();
-        let hits = witnesses(&test, Chip::Gtx280, &Incantations::none(), 500);
+            .unwrap()
+    }
+
+    #[test]
+    fn spin_lock_kernel_terminates() {
+        let hits = witnesses(&spin_lock(), Chip::Gtx280, &Incantations::none(), 500);
         // Strong chip: the lock always works and x is always seen.
         assert_eq!(hits, 500);
     }
@@ -1182,43 +1414,86 @@ mod tests {
     fn run_batch_matches_repeated_run_once() {
         // The amortised batch path (one reused MachineState) must be
         // observationally identical to repeated fresh-state runs under
-        // the same RNG stream.
-        let test = corpus::mp(ThreadScope::InterCta, None);
-        let sim = Simulator::compile(&test, Chip::GtxTitan).unwrap();
-        let inc = Incantations::best_inter_cta();
-        let weights = Chip::GtxTitan.profile().weights(&inc);
+        // the same RNG stream: on shared memory, on `.ca`/`.cg` loads
+        // with stale L1 lines (with CTAs scattered over SMs, so they
+        // collide and the SM set changes between runs of one state, and
+        // placed round-robin), on RMWs, and on windows refilled by loops.
+        let best = Incantations::best_inter_cta();
+        let all = Incantations::all_on();
+        let unscattered = |inc: Incantations| Incantations {
+            thread_rand: false,
+            ..inc
+        };
+        let cases = [
+            (
+                corpus::mp(ThreadScope::InterCta, None),
+                Chip::GtxTitan,
+                best,
+            ),
+            (corpus::mp_volatile(), Chip::Gtx540m, all),
+            (corpus::mp_l1(None), Chip::TeslaC2075, best),
+            (corpus::mp_l1(None), Chip::TeslaC2075, unscattered(best)),
+            (corpus::corr_l2_l1(None), Chip::TeslaC2075, all),
+            (corpus::corr_l2_l1(None), Chip::TeslaC2075, unscattered(all)),
+            (corpus::cas_sl(false), Chip::GtxTitan, best),
+            (corpus::dlb_lb(false), Chip::GtxTitan, best),
+            (spin_lock(), Chip::GtxTitan, best),
+        ];
         let n = 2_000;
+        for (test, chip, inc) in cases {
+            let case = format!(
+                "{} on {chip} (thread_rand {})",
+                test.name(),
+                inc.thread_rand
+            );
+            let sim = Simulator::compile(&test, chip).unwrap();
+            let weights = chip.profile().weights(&inc);
 
-        let mut batch_rng = SmallRng::seed_from_u64(0xabcd);
-        let mut state = sim.new_state();
-        let mut counts = ObsCounts::new();
-        sim.run_batch(
-            n,
-            &weights,
-            inc.thread_rand,
-            &mut batch_rng,
-            &mut state,
-            &mut counts,
-        )
-        .unwrap();
-        let mut batch: std::collections::BTreeMap<Outcome, u64> = Default::default();
-        for (obs, c) in counts.iter() {
-            *batch.entry(sim.outcome_from_obs(obs)).or_insert(0) += c;
-        }
-
-        let mut naive_rng = SmallRng::seed_from_u64(0xabcd);
-        let mut naive: std::collections::BTreeMap<Outcome, u64> = Default::default();
-        for _ in 0..n {
-            let outcome = sim
-                .run_once_with_weights(&weights, inc.thread_rand, &mut naive_rng)
+            // One reused state, one run per batch call so the SM set of
+            // every run can be seen.
+            let mut batch_rng = SmallRng::seed_from_u64(0xabcd);
+            let mut state = sim.new_state();
+            let mut counts = ObsCounts::new();
+            let mut sm_sets = std::collections::BTreeSet::new();
+            for _ in 0..n {
+                sim.run_batch(
+                    1,
+                    &weights,
+                    inc.thread_rand,
+                    &mut batch_rng,
+                    &mut state,
+                    &mut counts,
+                )
                 .unwrap();
-            *naive.entry(outcome).or_insert(0) += 1;
-        }
+                let mut sms = state.sms.clone();
+                sms.sort_unstable();
+                sm_sets.insert(sms);
+            }
+            let mut batch: std::collections::BTreeMap<Outcome, u64> = Default::default();
+            for (obs, c) in counts.iter() {
+                *batch.entry(sim.outcome_from_obs(obs)).or_insert(0) += c;
+            }
 
-        assert_eq!(counts.total(), n as u64);
-        assert_eq!(batch, naive);
-        // Multiple distinct outcomes, so the comparison is non-trivial.
-        assert!(counts.distinct() > 1);
+            let mut naive_rng = SmallRng::seed_from_u64(0xabcd);
+            let mut naive: std::collections::BTreeMap<Outcome, u64> = Default::default();
+            for _ in 0..n {
+                let outcome = sim
+                    .run_once_with_weights(&weights, inc.thread_rand, &mut naive_rng)
+                    .unwrap();
+                *naive.entry(outcome).or_insert(0) += 1;
+            }
+
+            assert_eq!(counts.total(), n as u64, "{case}");
+            assert_eq!(batch, naive, "{case}");
+            // Multiple distinct outcomes, so the comparison is non-trivial.
+            assert!(counts.distinct() > 1, "{case}: one outcome only");
+            if inc.thread_rand {
+                // Both CTAs landed on one SM in some run, and the SM set
+                // changed between runs of the one state.
+                assert!(sm_sets.iter().any(|s| s.len() == 1), "{case}: no collision");
+                assert!(sm_sets.len() > 1, "{case}: one SM set only");
+            }
+        }
     }
 
     #[test]
