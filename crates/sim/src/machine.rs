@@ -169,6 +169,8 @@ impl Window {
 struct ThreadCtx {
     pc: usize,
     regs: Vec<Option<SimValue>>,
+    /// The register file at the start of a run.
+    init: Vec<Option<SimValue>>,
     queue: Window,
 }
 
@@ -186,6 +188,9 @@ impl ThreadCtx {
 pub struct MachineState {
     /// Location count — the stride of the flattened `shared`/`l1` planes.
     nlocs: usize,
+    /// Initial value of each location: the image `l2` and every CTA's
+    /// `shared` start from.
+    init: Vec<i64>,
     /// SM hosting each CTA this run.
     sm_of_cta: Vec<usize>,
     /// The distinct SMs in `sm_of_cta`: the only SMs whose L1 can hold a
@@ -343,12 +348,6 @@ pub struct Simulator {
     /// Owning CTA of each location's shared-memory instance (meaningful
     /// for `Region::Shared` locations only), precomputed at compile time.
     shared_owner: Vec<usize>,
-    /// Initial L2 image, indexed by location.
-    l2_init: Vec<i64>,
-    /// Initial per-CTA shared-memory image, flattened `cta * nlocs + loc`.
-    shared_init: Vec<i64>,
-    /// Initial register file of each thread.
-    reg_init: Vec<Vec<Option<SimValue>>>,
 }
 
 impl Simulator {
@@ -362,20 +361,10 @@ impl Simulator {
         let shared_owner = (0..program.locs.len() as u32)
             .map(|l| shared_owner_cta(&program, l))
             .collect();
-        let l2_init: Vec<i64> = program.locs.iter().map(|l| l.init).collect();
-        let shared_init = l2_init.repeat(program.num_ctas);
-        let reg_init = program
-            .reg_init
-            .iter()
-            .map(|inits| inits.iter().map(|v| Some(*v)).collect())
-            .collect();
         Ok(Simulator {
             program,
             chip,
             shared_owner,
-            l2_init,
-            shared_init,
-            reg_init,
         })
     }
 
@@ -426,20 +415,26 @@ impl Simulator {
         let p = &self.program;
         let nlocs = p.locs.len();
         let num_sms = self.chip.profile().num_sms;
+        let init: Vec<i64> = p.locs.iter().map(|l| l.init).collect();
         MachineState {
             nlocs,
             sm_of_cta: Vec::with_capacity(p.num_ctas),
             sms: Vec::with_capacity(p.num_ctas),
-            l2: self.l2_init.clone(),
-            shared: self.shared_init.clone(),
+            l2: init.clone(),
+            shared: init.repeat(p.num_ctas),
+            init,
             l1: vec![None; num_sms * nlocs],
-            threads: self
+            threads: p
                 .reg_init
                 .iter()
-                .map(|regs| ThreadCtx {
-                    pc: 0,
-                    regs: regs.clone(),
-                    queue: Window::EMPTY,
+                .map(|inits| {
+                    let init: Vec<_> = inits.iter().map(|v| Some(*v)).collect();
+                    ThreadCtx {
+                        pc: 0,
+                        regs: init.clone(),
+                        init,
+                        queue: Window::EMPTY,
+                    }
                 })
                 .collect(),
             active: Vec::with_capacity(p.threads.len()),
@@ -480,8 +475,10 @@ impl Simulator {
         }
 
         // Memory.
-        st.l2.copy_from_slice(&self.l2_init);
-        st.shared.copy_from_slice(&self.shared_init);
+        st.l2.copy_from_slice(&st.init);
+        for cta in 0..p.num_ctas {
+            st.shared[cta * nlocs..(cta + 1) * nlocs].copy_from_slice(&st.init);
+        }
         if w.l1_preload > 0.0 {
             for sm in st.sm_of_cta.iter().copied() {
                 for (i, loc) in p.locs.iter().enumerate() {
@@ -496,10 +493,10 @@ impl Simulator {
             }
         }
 
-        for (ctx, regs) in st.threads.iter_mut().zip(&self.reg_init) {
+        for ctx in &mut st.threads {
             ctx.pc = 0;
             ctx.queue.clear();
-            ctx.regs.copy_from_slice(regs);
+            ctx.regs.copy_from_slice(&ctx.init);
         }
     }
 
