@@ -1,6 +1,6 @@
 //! Model-verdict caching for large test families.
 //!
-//! A paper-scale validation sweep judges ~18k generated tests against a
+//! A paper-scale validation sweep judges 16 632 generated tests against a
 //! model, and each test is run on several chips — but the axiomatic
 //! verdict depends only on the test's *shape* (instructions, register
 //! initialisation, scope tree, memory regions and condition), never on

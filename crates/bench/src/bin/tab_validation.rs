@@ -3,8 +3,8 @@
 //! behaviour is allowed by the model ("experimentally sound w.r.t. our
 //! 10 930 tests").
 //!
-//! Default: the small family (hundreds of tests) at reduced iteration
-//! counts. `--full` escalates to the paper-scale family (≈ 17k tests).
+//! Default: the small family (112 tests) at reduced iteration counts.
+//! `--full` escalates to the paper-scale family (16 632 tests).
 //!
 //! This binary is a thin front end over the `weakgpu_harness::sweep`
 //! subsystem — the same engine behind `weakgpu sweep` and the CI shard

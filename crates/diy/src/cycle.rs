@@ -1,11 +1,19 @@
 //! Enumeration of relaxation cycles.
 //!
 //! A cycle is a sequence of edges where each edge's target direction
-//! matches the next edge's source direction (cyclically), at least one
-//! edge is external (so ≥ 2 threads arise), and location constraints are
-//! satisfiable. Cycles are canonicalised up to rotation, and rotated so
-//! that the walk starts at the beginning of a thread (i.e. the final edge
-//! is external).
+//! matches the next edge's source direction (cyclically), at least two
+//! edges are external (so ≥ 2 threads arise), and location constraints
+//! are satisfiable. Cycles are canonicalised up to rotation, and rotated
+//! so that the walk starts at the beginning of a thread (i.e. the final
+//! edge is external).
+//!
+//! [`enumerate_cycles`] walks each rotation class once: it visits only
+//! sequences of alphabet positions that are the least of their rotations
+//! (necklaces, in combinatorial terms), in lexicographic order per
+//! length. That is exactly the order in which an exhaustive walk over
+//! every position sequence first meets each class, so the output — order
+//! and stored rotation — is the one such a walk, deduplicating by name,
+//! produces.
 
 use crate::edge::Edge;
 
@@ -18,8 +26,8 @@ pub struct Cycle {
 impl Cycle {
     /// Wraps an edge sequence as a cycle after validating it.
     ///
-    /// Returns `None` if directions do not chain, no edge is external, or
-    /// the location constraints are contradictory.
+    /// Returns `None` if directions do not chain, fewer than two edges are
+    /// external, or the location constraints are contradictory.
     pub fn new(edges: Vec<Edge>) -> Option<Cycle> {
         if edges.is_empty() || !directions_chain(&edges) {
             return None;
@@ -68,20 +76,16 @@ impl Cycle {
     }
 
     /// The canonical name: edge names joined by `-` over the
-    /// lexicographically-least rotation that ends in an external edge.
+    /// lexicographically-least rotation that ends in an external edge
+    /// (rotations compare edge name by edge name).
     pub fn name(&self) -> String {
         let n = self.edges.len();
-        let mut best: Option<Vec<String>> = None;
-        for r in 0..n {
-            if !self.edges[(r + n - 1) % n].is_external() {
-                continue;
-            }
-            let names: Vec<String> = (0..n).map(|i| self.edges[(r + i) % n].name()).collect();
-            if best.as_ref().is_none_or(|b| names < *b) {
-                best = Some(names);
-            }
-        }
-        best.expect("cycles contain an external edge").join("-")
+        let rotation = |r: usize| (0..n).map(move |i| self.edges[(r + i) % n].name());
+        let best = (0..n)
+            .filter(|&r| self.edges[(r + n - 1) % n].is_external())
+            .min_by(|&a, &b| rotation(a).cmp(rotation(b)))
+            .expect("cycles contain an external edge");
+        rotation(best).collect::<Vec<_>>().join("-")
     }
 }
 
@@ -120,41 +124,71 @@ fn locations_consistent(edges: &[Edge]) -> bool {
 
 /// Enumerates all cycles over `alphabet` with between 2 and `max_edges`
 /// edges, deduplicated up to rotation.
+///
+/// Cycles come shortest first; within a length, in lexicographic order of
+/// their least rotation as a sequence of alphabet positions (a repeated
+/// edge counts at its first position). Each cycle is that least rotation
+/// passed through [`Cycle::new`].
+///
+/// The walk is the Fredricksen–Kessler–Maiorana necklace walk restricted
+/// to sequences whose directions chain: each position is at least the one
+/// a period back, so only prefixes of least rotations are extended, and a
+/// full-length sequence is a least rotation exactly when its period
+/// divides its length. Prefixes that cannot reach two external edges in
+/// the positions left are cut.
 pub fn enumerate_cycles(alphabet: &[Edge], max_edges: usize) -> Vec<Cycle> {
+    let mut edges: Vec<Edge> = Vec::with_capacity(alphabet.len());
+    for &e in alphabet {
+        if !edges.contains(&e) {
+            edges.push(e);
+        }
+    }
     let mut out = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut stack: Vec<Edge> = Vec::new();
+    // A least rotation starts at its smallest position, which is at or
+    // before one of its external edges.
+    let Some(last_external) = edges.iter().rposition(|e| e.is_external()) else {
+        return out;
+    };
+    let mut seq = Vec::with_capacity(max_edges);
     for len in 2..=max_edges {
-        extend(alphabet, len, &mut stack, &mut seen, &mut out);
+        for first in 0..=last_external {
+            seq.push(first);
+            extend(&edges, len, &mut seq, 1, &mut out);
+            seq.pop();
+        }
     }
     out
 }
 
-fn extend(
-    alphabet: &[Edge],
-    target_len: usize,
-    stack: &mut Vec<Edge>,
-    seen: &mut std::collections::BTreeSet<String>,
-    out: &mut Vec<Cycle>,
-) {
-    if stack.len() == target_len {
-        if let Some(cycle) = Cycle::new(stack.clone()) {
-            if seen.insert(cycle.name()) {
+/// Extends `seq`, positions into `edges` that form a prefix of a least
+/// rotation with period `period`, to every cycle of length `len`.
+fn extend(edges: &[Edge], len: usize, seq: &mut Vec<usize>, period: usize, out: &mut Vec<Cycle>) {
+    let t = seq.len();
+    if t == len {
+        let closes = edges[seq[t - 1]].to_dir() == edges[seq[0]].from_dir();
+        if len.is_multiple_of(period) && closes {
+            if let Some(cycle) = Cycle::new(seq.iter().map(|&i| edges[i]).collect()) {
                 out.push(cycle);
             }
         }
         return;
     }
-    for &e in alphabet {
-        // Prune: directions must chain with the previous edge.
-        if let Some(&prev) = stack.last() {
-            if prev.to_dir() != e.from_dir() {
-                continue;
-            }
+    let externals = seq.iter().filter(|&&i| edges[i].is_external()).count();
+    if externals + (len - t) < 2 {
+        return;
+    }
+    let prev = edges[seq[t - 1]];
+    let floor = seq[t - period];
+    for (i, &e) in edges.iter().enumerate().skip(floor) {
+        if e.from_dir() != prev.to_dir() {
+            continue;
         }
-        stack.push(e);
-        extend(alphabet, target_len, stack, seen, out);
-        stack.pop();
+        // Repeating the position a period back keeps the period; a larger
+        // position makes the whole prefix one period.
+        let period = if i == floor { period } else { t + 1 };
+        seq.push(i);
+        extend(edges, len, seq, period, out);
+        seq.pop();
     }
 }
 

@@ -124,18 +124,54 @@ impl Edge {
     }
 
     /// The canonical `diy`-style name.
-    pub fn name(self) -> String {
+    pub fn name(self) -> &'static str {
+        // Name tables are indexed by direction pair: RR, RW, WR, WW.
+        let pair = |from: Dir, to: Dir| 2 * from as usize + to as usize;
         match self {
-            Edge::Rfe => "Rfe".to_owned(),
-            Edge::Fre => "Fre".to_owned(),
-            Edge::Coe => "Coe".to_owned(),
-            Edge::Po { same_loc, from, to } => {
-                format!("Po{}{from}{to}", if same_loc { "s" } else { "d" })
-            }
+            Edge::Rfe => "Rfe",
+            Edge::Fre => "Fre",
+            Edge::Coe => "Coe",
+            Edge::Po {
+                same_loc: false,
+                from,
+                to,
+            } => ["PodRR", "PodRW", "PodWR", "PodWW"][pair(from, to)],
+            Edge::Po {
+                same_loc: true,
+                from,
+                to,
+            } => ["PosRR", "PosRW", "PosWR", "PosWW"][pair(from, to)],
             Edge::Fenced { scope, from, to } => {
-                format!("Membar{}d{from}{to}", scope.suffix())
+                let names = match scope {
+                    FenceScope::Cta => [
+                        "Membar.ctadRR",
+                        "Membar.ctadRW",
+                        "Membar.ctadWR",
+                        "Membar.ctadWW",
+                    ],
+                    FenceScope::Gl => [
+                        "Membar.gldRR",
+                        "Membar.gldRW",
+                        "Membar.gldWR",
+                        "Membar.gldWW",
+                    ],
+                    FenceScope::Sys => [
+                        "Membar.sysdRR",
+                        "Membar.sysdRW",
+                        "Membar.sysdWR",
+                        "Membar.sysdWW",
+                    ],
+                };
+                names[pair(from, to)]
             }
-            Edge::Dp { dep, to } => format!("Dp{dep}d{to}"),
+            Edge::Dp { dep, to } => match (dep, to) {
+                (DepKind::Addr, Dir::R) => "DpAddrdR",
+                (DepKind::Addr, Dir::W) => "DpAddrdW",
+                (DepKind::Data, Dir::R) => "DpDatadR",
+                (DepKind::Data, Dir::W) => "DpDatadW",
+                (DepKind::Ctrl, Dir::R) => "DpCtrldR",
+                (DepKind::Ctrl, Dir::W) => "DpCtrldW",
+            },
         }
     }
 
@@ -211,7 +247,7 @@ impl Edge {
 
 impl fmt::Display for Edge {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
+        f.write_str(self.name())
     }
 }
 
@@ -281,6 +317,29 @@ mod tests {
             .name(),
             "DpAddrdR"
         );
+    }
+
+    #[test]
+    fn name_table_matches_the_naming_scheme() {
+        let dirs = [Dir::R, Dir::W];
+        for from in dirs {
+            for to in dirs {
+                for same_loc in [false, true] {
+                    let s = if same_loc { "s" } else { "d" };
+                    let e = Edge::Po { same_loc, from, to };
+                    assert_eq!(e.name(), format!("Po{s}{from}{to}"));
+                }
+                for scope in FenceScope::ALL {
+                    let e = Edge::Fenced { scope, from, to };
+                    assert_eq!(e.name(), format!("Membar{}d{from}{to}", scope.suffix()));
+                }
+            }
+        }
+        for dep in [DepKind::Addr, DepKind::Data, DepKind::Ctrl] {
+            for to in dirs {
+                assert_eq!(Edge::Dp { dep, to }.name(), format!("Dp{dep}d{to}"));
+            }
+        }
     }
 
     #[test]

@@ -44,13 +44,23 @@ use weakgpu_litmus::LitmusTest;
 /// order is therefore a pure function of the configuration: bit-identical
 /// across calls, processes, and machines. Sharded sweeps rely on this to
 /// partition the family deterministically by index.
+///
+/// The order is built without sorting the family: cycles are sorted by
+/// name, and each cycle's tests by suffix. A test name is its cycle's name
+/// followed by a suffix starting with `+`, which sorts below `-` and every
+/// character of an edge name, so (cycle name, suffix) order is name order.
 pub fn generate(cfg: &GenConfig) -> Vec<LitmusTest> {
-    let cycles = enumerate_cycles(&cfg.alphabet, cfg.max_edges);
+    let mut cycles: Vec<(String, Cycle)> = enumerate_cycles(&cfg.alphabet, cfg.max_edges)
+        .into_iter()
+        .map(|c| (c.name(), c))
+        .collect();
+    cycles.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     let mut tests = Vec::new();
-    for cycle in &cycles {
-        tests.extend(synth::expand(cycle, cfg));
+    for (name, cycle) in &cycles {
+        let mut expanded = synth::expand_named(cycle, name, cfg);
+        expanded.sort_by(|a, b| a.name().cmp(b.name()));
+        tests.extend(expanded);
     }
-    tests.sort_by(|a, b| a.name().cmp(b.name()));
     tests
 }
 

@@ -44,7 +44,8 @@ impl GenConfig {
         }
     }
 
-    /// A compact configuration for tests and examples (hundreds of tests).
+    /// A compact configuration for tests and examples: 71 cycles, 112
+    /// tests.
     pub fn small() -> Self {
         GenConfig {
             alphabet: Edge::small_alphabet(),
@@ -55,7 +56,7 @@ impl GenConfig {
     }
 
     /// Paper-scale configuration: 9 234 cycles over the full alphabet at
-    /// up to five edges, ≈ 18k tests over the two placements (cf. the
+    /// up to five edges, 16 632 tests over the two placements (cf. the
     /// 10 930 of Sec. 5.4).
     pub fn paper() -> Self {
         GenConfig {
@@ -83,6 +84,8 @@ pub enum SynthError {
     CyclicCoherence,
     /// The placement is incompatible (shared memory requires intra-CTA).
     SharedNeedsIntraCta,
+    /// The cycle touches more locations than tests have names for.
+    TooManyLocations,
 }
 
 impl fmt::Display for SynthError {
@@ -96,6 +99,9 @@ impl fmt::Display for SynthError {
             }
             SynthError::SharedNeedsIntraCta => {
                 write!(f, "shared-memory tests require intra-CTA placement")
+            }
+            SynthError::TooManyLocations => {
+                write!(f, "cycle uses more than {} locations", LOC_NAMES.len())
             }
         }
     }
@@ -112,6 +118,16 @@ const LOC_NAMES: [&str; 8] = ["x", "y", "z", "w", "a", "b", "c", "d"];
 /// See [`SynthError`].
 pub fn synthesise(
     cycle: &Cycle,
+    placement: ThreadScope,
+    shared: bool,
+) -> Result<LitmusTest, SynthError> {
+    synthesise_named(cycle, &cycle.name(), placement, shared)
+}
+
+/// [`synthesise`], given the cycle's [`Cycle::name`].
+fn synthesise_named(
+    cycle: &Cycle,
+    cycle_name: &str,
     placement: ThreadScope,
     shared: bool,
 ) -> Result<LitmusTest, SynthError> {
@@ -161,7 +177,9 @@ pub fn synthesise(
         }
         loc_of[i] = loc_of[root];
     }
-    assert!(num_locs <= LOC_NAMES.len(), "cycle uses too many locations");
+    if num_locs > LOC_NAMES.len() {
+        return Err(SynthError::TooManyLocations);
+    }
 
     // Write values: per location, in walk order (values identify writes;
     // the *coherence* order is pinned separately below).
@@ -358,8 +376,8 @@ pub fn synthesise(
         (ThreadScope::IntraCta, true) => "+intra+shared",
         (ThreadScope::IntraWarp, _) => "+warp",
     };
-    let mut builder = LitmusTest::builder(format!("{}{suffix}", cycle.name()))
-        .doc(format!("diy-generated from cycle {}", cycle.name()));
+    let mut builder = LitmusTest::builder(format!("{cycle_name}{suffix}"))
+        .doc(format!("diy-generated from cycle {cycle_name}"));
     for &name in LOC_NAMES.iter().take(num_locs) {
         builder = if shared {
             builder.shared(name, 0)
@@ -383,13 +401,18 @@ pub fn synthesise(
 /// Expands a cycle over every placement/region in the configuration,
 /// silently skipping infeasible combinations.
 pub fn expand(cycle: &Cycle, cfg: &GenConfig) -> Vec<LitmusTest> {
+    expand_named(cycle, &cycle.name(), cfg)
+}
+
+/// [`expand`], given the cycle's [`Cycle::name`].
+pub(crate) fn expand_named(cycle: &Cycle, cycle_name: &str, cfg: &GenConfig) -> Vec<LitmusTest> {
     let mut out = Vec::new();
     for &placement in &cfg.placements {
-        if let Ok(t) = synthesise(cycle, placement, false) {
+        if let Ok(t) = synthesise_named(cycle, cycle_name, placement, false) {
             out.push(t);
         }
         if cfg.shared_variants && placement == ThreadScope::IntraCta {
-            if let Ok(t) = synthesise(cycle, placement, true) {
+            if let Ok(t) = synthesise_named(cycle, cycle_name, placement, true) {
                 out.push(t);
             }
         }
@@ -555,6 +578,19 @@ mod tests {
             t.memory().region(&"x".into()),
             Some(weakgpu_litmus::Region::Shared)
         );
+    }
+
+    #[test]
+    fn nine_locations_are_an_error_not_a_panic() {
+        // Each Rfe joins two events on a fresh location: nine locations,
+        // one more than tests have names for.
+        let c = Cycle::new([Edge::Rfe, pod(Dir::R, Dir::W)].repeat(9)).unwrap();
+        assert_eq!(
+            synthesise(&c, ThreadScope::InterCta, false).unwrap_err(),
+            SynthError::TooManyLocations
+        );
+        let cfg = GenConfig::small();
+        assert!(expand(&c, &cfg).is_empty());
     }
 
     #[test]
